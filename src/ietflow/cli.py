@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .closing import close_at_point
@@ -49,22 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: one subcommand plus its flags."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-    seed: int | None = None
-    output: str | None = None
-
-
-def _emit(config: RunConfig, payload: dict) -> None:
-    if config.seed is not None:
-        payload["seed"] = config.seed
+def _emit(opts: argparse.Namespace, payload: dict) -> None:
+    seed = getattr(opts, "seed", None)
+    if seed is not None:
+        payload["seed"] = seed
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
+    if opts.output:
+        with open(opts.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -74,19 +64,17 @@ def _criterion(opts) -> ClosingCriterion:
     return ClosingCriterion(opts.chi, opts.k, opts.singularities)
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    opts = config.options
+def _cmd_eval(opts: argparse.Namespace) -> int:
     iet = load_iet(opts.input)
     print(format_rational(iet.evaluate(parse_rational(opts.x))))
     return 0
 
 
-def _cmd_induce(config: RunConfig) -> int:
-    opts = config.options
+def _cmd_induce(opts: argparse.Namespace) -> int:
     iet = load_iet(opts.input)
     result = induce(iet, parse_rational(opts.b), opts.max_steps)
     _emit(
-        config,
+        opts,
         {
             "induced": iet_to_dict(result.induced),
             "return_times": list(result.return_times),
@@ -99,8 +87,7 @@ def _cmd_induce(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_rauzy(config: RunConfig) -> int:
-    opts = config.options
+def _cmd_rauzy(opts: argparse.Namespace) -> int:
     iet = load_iet(opts.input)
     orbit = rauzy_orbit(iet, opts.depth)
     payload = {
@@ -121,16 +108,15 @@ def _cmd_rauzy(config: RunConfig) -> int:
                 for e in report.entries
             ],
         }
-    _emit(config, payload)
+    _emit(opts, payload)
     return 0
 
 
-def _cmd_edges(config: RunConfig) -> int:
-    opts = config.options
+def _cmd_edges(opts: argparse.Namespace) -> int:
     iet = load_iet(opts.input)
     count, witness = max_disjoint_edges(iet)
     _emit(
-        config,
+        opts,
         {
             "families": [
                 {
@@ -150,15 +136,14 @@ def _cmd_edges(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_probe(config: RunConfig) -> int:
-    opts = config.options
+def _cmd_probe(opts: argparse.Namespace) -> int:
     iet = load_iet(opts.input)
     scales = None
     if opts.scales:
         scales = [parse_rational(s) for s in opts.scales.split(",")]
     report = probe_edge_criterion(iet, _criterion(opts), opts.depth, scales)
     _emit(
-        config,
+        opts,
         {
             "threshold": report.criterion.threshold,
             "threshold_clamped": report.criterion.clamped,
@@ -176,8 +161,7 @@ def _cmd_probe(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_measure(config: RunConfig) -> int:
-    opts = config.options
+def _cmd_measure(opts: argparse.Namespace) -> int:
     workers = int(os.environ.get("IETFLOW_WORKERS", "1"))
     report = estimate_full_measure(
         m=opts.m,
@@ -217,7 +201,7 @@ def _cmd_measure(config: RunConfig) -> int:
                     ]
                 )
     _emit(
-        config,
+        opts,
         {
             "m": report.m,
             "samples": report.samples,
@@ -235,8 +219,7 @@ def _cmd_measure(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_close(config: RunConfig) -> int:
-    opts = config.options
+def _cmd_close(opts: argparse.Namespace) -> int:
     flow = load_flow(opts.flow)
     results = close_at_point(
         flow,
@@ -253,7 +236,7 @@ def _cmd_close(config: RunConfig) -> int:
                 for position, when in res.orbit_trace:
                     writer.writerow([n, repr(position), repr(when)])
     _emit(
-        config,
+        opts,
         {
             "results": [
                 {
@@ -361,14 +344,8 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    config = RunConfig(
-        command=opts.command,
-        options=opts,
-        seed=getattr(opts, "seed", None),
-        output=getattr(opts, "output", None),
-    )
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[opts.command](opts)
     except FormatError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

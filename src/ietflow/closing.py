@@ -1,4 +1,4 @@
-"""Suspension flows, simple flow boxes, and the twist-closing search.
+"""Suspension flows, simple flow boxes, and twist closing.
 
 The surface flow is modeled as a suspension: unit-speed upward flow under a
 piecewise-constant roof over an exchange's base interval, with the roof top
@@ -16,12 +16,13 @@ supported exactly on the box strip.  Positive drift_rate displaces box
 crossings toward c.  Because the untwisted crossing already advances by
 the positive edge offset, a closed orbit through the vertex appears only
 when the drift pulls crossings back toward a, so closing runs use a
-negative rate and sweep the twist parameter t over [0, sigma_max].  At the
+negative rate and a twist parameter t in [0, sigma_max].  At the
 closing parameter the orbit through the vertex b crosses the box once and
 returns exactly to b.
 
-Box geometry stays exact rational; only the twisted kernel and the
-parameter search run in floating point.
+Box geometry stays exact rational.  The closing parameter has a closed
+form, evaluated in floating point without any search; the float twisted
+kernel re-validates it by forward integration.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def twisted_return(family: TwistFamily, t: float, x: float) -> tuple[float, floa
     LeftBoxUndefined when the start or landing point sits in a singular
     gap.
     """
-    if not 0 <= t <= family.sigma_max * (1 + 1e-12):
+    if not 0 <= t <= family.sigma_max:
         raise ValueError(f"twist {t} outside [0, {family.sigma_max}]")
     breaks, trans, part, roofs, singulars = family.flow.float_tables()
     if not breaks[0] <= x < breaks[-1]:
@@ -304,7 +305,7 @@ def continuation_curve(family: TwistFamily, steps: int) -> list[tuple[float, flo
     for i in range(steps):
         t = sigma * i / (steps - 1)
         pt = _continuation_point(family, t)
-        if prev is not None and pt < prev - 1e-15:
+        if prev is not None and pt < prev:
             raise ContinuationBroken("continuation endpoint moved backwards")
         prev = pt
         points.append((t, pt))
@@ -319,7 +320,7 @@ class ClosingResult:
     periodic_point: float
     orbit_trace: tuple[tuple[float, float], ...]
     residual: float
-    iterations: int
+    iterations: int = 0  # search steps; the closed form takes none
     scale: Fraction | None = None
     hit_bound: bool = False
     family: TwistFamily | None = field(default=None, repr=False, compare=False)
@@ -329,50 +330,32 @@ def find_closing_parameter(
     family: TwistFamily,
     tolerance: float = 1e-9,
     scale: Fraction | None = None,
-    max_iterations: int = 200,
-    sweep_steps: int = 64,
 ) -> ClosingResult:
-    """Bisection for the twist parameter closing the vertex orbit.
+    """Closed-form twist parameter closing the vertex orbit.
 
-    A coarse sweep brackets the sign change of g(t) = continuation(t) -
-    b_bar, bisection refines it, and the result is re-validated by forward
-    integration of the twisted flow from the periodic point; the residual
-    must come out within ``tolerance``.  Raises NoClosingInRange when g
-    never changes sign on [0, sigma_max] (zero drift, wrong drift
-    direction, or a budget too small for the box).
+    The backward arc from b_bar lands at a_bar + |t * drift_rate| *
+    strip_height (see ``_continuation_point``), so it first reaches the
+    vertex at sigma1 = (b_bar - a_bar) / (strip_height * -drift_rate).  The
+    result is re-validated by forward integration of the twisted flow from
+    the periodic point; the residual must come out within ``tolerance``.
+    Raises NoClosingInRange for a zero budget, a drift that does not pull
+    toward a_bar, or a budget too small for the box.
     """
     _check_coherent(family)
     sigma = family.sigma_max
-    b = float(family.box.b_bar)
+    box = family.box
     if sigma <= 0:
-        raise NoClosingInRange("sigma_max is zero; no twist range to search")
-
-    def g(t: float) -> float:
-        return _continuation_point(family, t) - b
-
-    ts = [sigma * i / sweep_steps for i in range(sweep_steps + 1)]
-    bracket = None
-    for lo_t, hi_t in zip(ts[:-1], ts[1:]):
-        if g(lo_t) < 0 <= g(hi_t):
-            bracket = (lo_t, hi_t)
-            break
-    if bracket is None:
+        raise NoClosingInRange("sigma_max is zero; no twist budget")
+    if family.drift_rate >= 0:
+        raise NoClosingInRange("drift does not pull crossings back toward a_bar")
+    sigma1 = float(box.b_bar - box.a_bar) / (float(box.strip_height) * -family.drift_rate)
+    if sigma1 > sigma:
         raise NoClosingInRange(
-            "continuation never reaches the vertex on [0, sigma_max]; "
+            f"closing parameter {sigma1} exceeds sigma_max {sigma}; "
             "shrink the box or extend the twist budget"
         )
 
-    lo_t, hi_t = bracket
-    iterations = 0
-    while hi_t - lo_t > 1e-15 * max(sigma, 1.0) and iterations < max_iterations:
-        mid = 0.5 * (lo_t + hi_t)
-        if g(mid) >= 0:
-            hi_t = mid
-        else:
-            lo_t = mid
-        iterations += 1
-    sigma1 = hi_t
-
+    b = float(box.b_bar)
     position, flight = twisted_return(family, sigma1, b)
     residual = abs(position - b)
     if residual > tolerance:
@@ -384,9 +367,8 @@ def find_closing_parameter(
         periodic_point=b,
         orbit_trace=((b, 0.0), (position, flight)),
         residual=residual,
-        iterations=iterations,
         scale=scale,
-        hit_bound=sigma1 >= sigma * (1 - 1e-9),
+        hit_bound=sigma1 == sigma,
         family=family,
     )
 

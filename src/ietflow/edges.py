@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -231,19 +232,17 @@ def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
 
 def _scan_scales(
     iet: Iet, threshold: int, scales: list[Fraction]
-) -> list[ProbeEntry]:
-    """Edge counts of the first-return maps at each scale (no early stop).
+) -> Iterator[ProbeEntry]:
+    """Edge counts of the first-return maps at each scale, one per scale.
 
     Consecutive inductions are chained: the return map to a smaller base
     factors through the return map to any larger one.
     """
-    entries = []
     current = iet
     for b in scales:
         current = induce(current, b).induced
         count, _ = max_disjoint_edges(current, with_witness=False)
-        entries.append(ProbeEntry(b, count, count >= threshold))
-    return entries
+        yield ProbeEntry(b, count, count >= threshold)
 
 
 def probe_edge_criterion(
@@ -275,7 +274,7 @@ def probe_edge_criterion(
     else:
         resolved, fallback = default_probe_scales(iet, depth)
 
-    entries = _scan_scales(iet, criterion.threshold, resolved)
+    entries = list(_scan_scales(iet, criterion.threshold, resolved))
     probes: list[ProbeEntry] = []
     failed = False
     for entry in entries:
@@ -386,21 +385,14 @@ def _probe_sample(args) -> tuple[int, int, int | None, bool]:
     lengths, perm, threshold, depth = args
     iet = make_iet(lengths, perm)
     scales, fallback = default_probe_scales(iet, depth)
+    entries = []
     try:
-        entries = _scan_scales(iet, threshold, scales)
+        for entry in _scan_scales(iet, threshold, scales):
+            entries.append(entry)
     except ReturnTimeExceeded:
         # a post-tie fallback scale outran the return budget; the scales
         # actually probed still count, the rest stay unknown
-        entries = []
-        current = iet
-        for b in scales:
-            try:
-                current = induce(current, b).induced
-            except ReturnTimeExceeded:
-                fallback = True
-                break
-            count, _ = max_disjoint_edges(current, with_witness=False)
-            entries.append(ProbeEntry(b, count, count >= threshold))
+        fallback = True
     passed = [e.passed for e in entries]
     first = passed.index(True) + 1 if any(passed) else None
     return len(entries), sum(passed), first, fallback

@@ -219,7 +219,6 @@ def rauzy_step(iet: Iet) -> tuple[Iet, str]:
 @dataclass(frozen=True)
 class RauzyStep:
     kind: str
-    before: Iet
     after: Iet
 
 
@@ -255,7 +254,7 @@ def rauzy_orbit(iet: Iet, depth: int) -> RauzyTrajectory:
         except TieEncountered:
             halt = "tie_encountered"
             break
-        steps.append(RauzyStep(kind, current, nxt))
+        steps.append(RauzyStep(kind, nxt))
         scales.append(nxt.base_length)
         current = nxt
     return RauzyTrajectory(tuple(steps), tuple(scales), halt)

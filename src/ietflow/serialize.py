@@ -12,10 +12,9 @@ Suspension flow files carry {"base": <exchange>, "roof": [...],
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .closing import SuspensionFlow
-from .errors import FormatError, IetError
+from .errors import FormatError
 from .iet import Iet, format_rational, make_iet, parse_rational
 
 
@@ -31,10 +30,7 @@ def iet_from_dict(data: dict) -> Iet:
         raise FormatError("exchange JSON needs 'lengths' and 'permutation'")
     lengths = [parse_rational(str(x)) for x in data["lengths"]]
     permutation = list(data["permutation"])
-    try:
-        iet = make_iet(lengths, permutation)
-    except IetError:
-        raise
+    iet = make_iet(lengths, permutation)
     if list(iet.permutation) != permutation or list(iet.lengths) != lengths:
         for i in range(1, len(permutation)):
             if permutation[i] == permutation[i - 1] + 1:
@@ -82,8 +78,3 @@ def flow_from_dict(data: dict) -> SuspensionFlow:
 def load_flow(path: str) -> SuspensionFlow:
     with open(path, encoding="utf-8") as handle:
         return flow_from_dict(json.load(handle))
-
-
-def rational_field(value: Fraction) -> str:
-    """Alias kept next to the format definition for report writers."""
-    return format_rational(value)

@@ -294,7 +294,7 @@ def test_criterion_5_closing_run():
 
 
 def test_criterion_6_bisection_vs_sweep():
-    # every shipped closing fixture: bisection within 1e-5 of the 1e-6 sweep
+    # every shipped closing fixture: closed form within 1e-5 of the 1e-6 sweep
     fixtures = []
     flow = tenth_flow()
     fixtures.append(("rot10 box", make_twist_family(flow, tenth_box(flow))))

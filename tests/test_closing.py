@@ -1,4 +1,4 @@
-"""Suspension flow boxes, twisted returns, and the closing search."""
+"""Suspension flow boxes, twisted returns, and the closing parameter."""
 
 import math
 from fractions import Fraction as F
@@ -198,8 +198,10 @@ class TestFindClosingParameter:
         flow = tenth_flow()
         family = make_twist_family(flow, tenth_box(flow))
         result = find_closing_parameter(family, 1e-9)
-        assert result.sigma1 == pytest.approx(0.025, abs=1e-9)
-        assert result.residual <= 1e-9
+        # closed form: (b_bar - a_bar) / (strip_height * 4) = 0.1 / 4
+        assert result.sigma1 == 0.025
+        assert result.residual == 0.0
+        assert result.iterations == 0
         assert 0 <= result.sigma1 <= family.sigma_max
         assert not result.hit_bound
         swept = sweep_oracle(family)
@@ -224,6 +226,14 @@ class TestFindClosingParameter:
     def test_wrong_direction_has_no_closing(self):
         flow = tenth_flow()
         family = make_twist_family(flow, tenth_box(flow), drift_rate=4.0)
+        with pytest.raises(NoClosingInRange):
+            find_closing_parameter(family, 1e-9)
+
+    def test_budget_too_small_for_box(self):
+        # rate -1 needs sigma1 = 0.1, above the default budget 0.2 / (2 * 2)
+        flow = tenth_flow()
+        family = make_twist_family(flow, tenth_box(flow), drift_rate=-1.0)
+        assert family.sigma_max == 0.05
         with pytest.raises(NoClosingInRange):
             find_closing_parameter(family, 1e-9)
 

@@ -16,7 +16,14 @@ from ietflow import (
     max_disjoint_edges,
     probe_edge_criterion,
 )
-from ietflow.edges import VirtualEdge, sample_uniform_iet
+from ietflow.edges import (
+    VirtualEdge,
+    _probe_sample,
+    _scan_scales,
+    default_probe_scales,
+    sample_uniform_iet,
+)
+from ietflow.errors import ReturnTimeExceeded
 from ietflow.induction import induce
 from .test_iet_core import random_iet, rotation
 
@@ -263,6 +270,17 @@ class TestMeasure:
             estimate_full_measure(4, ClosingCriterion(-3, 1), depth=1, samples=1, seed=0, resolution=3)
         iet, _ = sample_uniform_iet(random.Random(0), 2, 2)
         assert iet.lengths == (F(1, 2), F(1, 2))
+
+    def test_fallback_scale_outrunning_the_return_budget(self):
+        # Rauzy induction ties after 19 moves; inducing on the first halving
+        # scale, 111/500, then exceeds the return budget.  The 19 probed
+        # scales still count and the sample is marked as a tie.
+        iet = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
+        scales, fallback = default_probe_scales(iet, 20)
+        assert fallback and scales[19] == F(111, 500)
+        with pytest.raises(ReturnTimeExceeded):
+            list(_scan_scales(iet, 1, scales))
+        assert _probe_sample((iet.lengths, iet.permutation, 1, 20)) == (19, 19, 1, True)
 
     def test_worker_pool_matches_sequential(self):
         crit = ClosingCriterion(-3, 1)
