@@ -84,7 +84,14 @@ class EdgeFamily:
         family (supremum over finite selections; attained up to any
         positive gap)."""
         q = (self.s_sup - self.s_min) / self.edge_length
-        return int(q) if q.denominator == 1 else math.floor(q) + 1
+        return _packing_count(q.numerator, q.denominator)
+
+
+def _packing_count(width: int, edge_length: int) -> int:
+    """Most pairwise disjoint closed edges of length ``edge_length`` whose
+    left endpoints lie in a half-open window of length ``width``, both
+    given as integer multiples of one unit: ceil(width / edge_length)."""
+    return -(-width // edge_length)
 
 
 def find_virtual_edges(iet: Iet) -> list[EdgeFamily]:
@@ -120,11 +127,18 @@ def max_disjoint_edges(
     """
     total = 0
     witnesses: list[VirtualEdge] = []
+    if not with_witness:
+        # the family of subinterval i has width L - 2*tau and edge length
+        # 2*tau; over the denominator q*s of L = p/q and tau = r/s
+        for length, tau in zip(iet.lengths, iet.translations):
+            p, q = length.numerator, length.denominator
+            r, s = tau.numerator, tau.denominator
+            if r > 0 and p * s > 2 * r * q:
+                total += _packing_count(p * s - 2 * r * q, 2 * r * q)
+        return total, witnesses
     for fam in find_virtual_edges(iet):
         k = fam.max_disjoint()
         total += k
-        if not with_witness:
-            continue
         width = fam.s_sup - fam.s_min
         slack = width - (k - 1) * fam.edge_length
         step_gap = min(gap, slack / (k + 1))

@@ -7,6 +7,11 @@ subintervals, everything in exact rational arithmetic.  Construction
 canonicalizes: adjacent subintervals whose images stay adjacent are merged,
 so the stored breakpoints are exactly the discontinuities of the map.
 
+Every public value is a ``Fraction`` in lowest terms.  Construction (and,
+in the sibling modules, ``induce`` and the edge count) computes on integer
+numerators over one common denominator instead: sums and differences of
+lengths stay on that lattice, and each ``Fraction`` is built once.
+
 Permutations are 1-indexed: ``permutation[i]`` is the rank of the image of
 the (i+1)-th subinterval among all image subintervals, counted from the
 left.  ``[2, 1]`` with lengths ``[2/3, 1/3]`` is the rotation by 1/3.
@@ -15,6 +20,7 @@ left.  ``[2, 1]`` with lengths ``[2/3, 1/3]`` is the rotation by 1/3.
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -87,34 +93,38 @@ class Iet:
         if not ls:
             raise NonPositiveLength("need at least one interval")
         for x in ls:
-            if x <= 0:
+            if x.numerator <= 0:
                 raise NonPositiveLength(f"interval length {x} is not positive")
-        pm = [int(p) for p in permutation]
-        if sorted(pm) != list(range(1, len(ls) + 1)) or len(pm) != len(ls):
+        pm = list(permutation)
+        for p in pm:
+            if type(p) is not int:
+                raise PermutationNotBijective(f"permutation entry {p!r} is not an integer")
+        if sorted(pm) != list(range(1, len(ls) + 1)):
             raise PermutationNotBijective(
                 f"permutation {pm} is not a bijection of 1..{len(ls)}"
             )
         ls, pm = _canonical(ls, pm)
 
+        # prefix sums and translations as numerators over the common
+        # denominator, turned into Fractions once at the end
+        denom = math.lcm(*(x.denominator for x in ls))
+        nums = [x.numerator * (denom // x.denominator) for x in ls]
+        breaks = [0]
+        for n in nums:
+            breaks.append(breaks[-1] + n)
+        # image_start[i] = total length of intervals whose image sits left of i's
+        starts = [0] * len(nums)
+        acc = 0
+        for i in sorted(range(len(nums)), key=pm.__getitem__):
+            starts[i] = acc
+            acc += nums[i]
+
         object.__setattr__(self, "lengths", tuple(ls))
         object.__setattr__(self, "permutation", tuple(pm))
-        object.__setattr__(self, "base_length", sum(ls, Fraction(0)))
-
-        breaks = [Fraction(0)]
-        for x in ls:
-            breaks.append(breaks[-1] + x)
-        object.__setattr__(self, "breakpoints", tuple(breaks))
-
-        # image_start[i] = total length of intervals whose image sits left of i's
-        m = len(ls)
-        starts = [Fraction(0)] * m
-        by_rank = sorted(range(m), key=lambda i: pm[i])
-        acc = Fraction(0)
-        for i in by_rank:
-            starts[i] = acc
-            acc += ls[i]
+        object.__setattr__(self, "base_length", Fraction(acc, denom))
+        object.__setattr__(self, "breakpoints", tuple(Fraction(a, denom) for a in breaks))
         object.__setattr__(
-            self, "translations", tuple(starts[i] - breaks[i] for i in range(m))
+            self, "translations", tuple(Fraction(s - a, denom) for s, a in zip(starts, breaks))
         )
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard

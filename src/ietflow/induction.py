@@ -16,6 +16,8 @@ merged consistently on both routes.
 
 from __future__ import annotations
 
+import bisect
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,46 +88,55 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
             parent_base=parent.base_length,
         )
 
-    interior = parent.breakpoints[1:-1]
-    done: list[tuple[Fraction, Fraction, Fraction, int]] = []
-    work = deque([(Fraction(0), b, Fraction(0), 0)])
+    # every cut, offset and piece end below is an integer multiple of
+    # 1/denom, so the propagation runs on the numerators alone
+    denom = math.lcm(b.denominator, *(x.denominator for x in parent.breakpoints))
+    cuts = [x.numerator * (denom // x.denominator) for x in parent.breakpoints]
+    shifts = [t.numerator * (denom // t.denominator) for t in parent.translations]
+    top = b.numerator * (denom // b.denominator)
+
+    done: list[tuple[int, int, int, int]] = []
+    work = deque([(0, top, 0, 0)])
     while work:
         lo, hi, off, steps = work.popleft()
         cur_lo = lo + off
         cur_hi = hi + off
-        if steps > 0 and cur_hi <= b:
+        if steps > 0 and cur_hi <= top:
             done.append((lo, hi, off, steps))
             continue
         if steps >= max_steps:
             raise ReturnTimeExceeded(max_steps, scale=b)
-        cuts = [c for c in interior if cur_lo < c < cur_hi]
-        bounds = [cur_lo] + cuts + [cur_hi]
-        for u, v in zip(bounds[:-1], bounds[1:]):
-            tau = parent.translations[parent.piece_index(u)]
+        steps += 1
+        piece = bisect.bisect_right(cuts, cur_lo) - 1
+        u = cur_lo
+        while u < cur_hi:
+            v = min(cuts[piece + 1], cur_hi)
+            tau = shifts[piece]
             noff = off + tau
-            nlo, nhi = u + tau, v + tau
             olo, ohi = u - off, v - off
-            if nhi <= b:
-                done.append((olo, ohi, noff, steps + 1))
-            elif nlo >= b:
-                work.append((olo, ohi, noff, steps + 1))
+            if v + tau <= top:
+                done.append((olo, ohi, noff, steps))
+            elif u + tau >= top:
+                work.append((olo, ohi, noff, steps))
             else:
-                mid = b - noff
-                done.append((olo, mid, noff, steps + 1))
-                work.append((mid, ohi, noff, steps + 1))
+                mid = top - noff
+                done.append((olo, mid, noff, steps))
+                work.append((mid, ohi, noff, steps))
+            u = v
+            piece += 1
 
     done.sort(key=lambda t: t[0])
     # pieces must tile [0, b) exactly
-    cursor = Fraction(0)
+    cursor = 0
     for lo, hi, _, _ in done:
         if lo != cursor:
-            raise NotInduced(f"gap at {cursor} while assembling the return map")
+            raise NotInduced(f"gap at {Fraction(cursor, denom)} while assembling the return map")
         cursor = hi
-    if cursor != b:
-        raise NotInduced(f"return pieces stop at {cursor}, expected {b}")
+    if cursor != top:
+        raise NotInduced(f"return pieces stop at {Fraction(cursor, denom)}, expected {b}")
 
     # return-time partition: merge neighbours agreeing on translation and time
-    merged: list[list] = []
+    merged: list[list[int]] = []
     for lo, hi, off, steps in done:
         if merged and merged[-1][2] == off and merged[-1][3] == steps and merged[-1][1] == lo:
             merged[-1][1] = hi
@@ -135,19 +146,18 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
     # the canonical map merges on translation alone; an induction cut can
     # leave neighbours continuous as a map yet with distinct return times,
     # so the piece partition genuinely refines the canonical intervals
-    lengths = [hi - lo for lo, hi, _, _ in merged]
-    image_starts = [lo + off for lo, _, off, _ in merged]
-    order = sorted(range(len(merged)), key=lambda i: image_starts[i])
+    order = sorted(range(len(merged)), key=lambda i: merged[i][0] + merged[i][2])
     perm = [0] * len(merged)
     for rank, i in enumerate(order, start=1):
         perm[i] = rank
-    induced = make_iet(lengths, perm)
+    induced = make_iet([Fraction(hi - lo, denom) for lo, hi, _, _ in merged], perm)
+    ends = [Fraction(p[0], denom) for p in merged] + [b]
 
     return InducedResult(
         induced=induced,
         return_times=tuple(p[3] for p in merged),
-        pieces=tuple((p[0], p[1]) for p in merged),
-        parent_break_hits=tuple(p[0] for p in merged[1:]),
+        pieces=tuple(zip(ends[:-1], ends[1:])),
+        parent_break_hits=tuple(ends[1:-1]),
         parent_base=parent.base_length,
     )
 

@@ -29,7 +29,9 @@ def iet_from_dict(data: dict) -> Iet:
     if not isinstance(data, dict) or "lengths" not in data or "permutation" not in data:
         raise FormatError("exchange JSON needs 'lengths' and 'permutation'")
     lengths = [parse_rational(str(x)) for x in data["lengths"]]
-    permutation = list(data["permutation"])
+    permutation = data["permutation"]
+    if not isinstance(permutation, list) or any(type(p) is not int for p in permutation):
+        raise FormatError("permutation entries must be integers")
     iet = make_iet(lengths, permutation)
     if list(iet.permutation) != permutation or list(iet.lengths) != lengths:
         for i in range(1, len(permutation)):

@@ -56,6 +56,11 @@ class TestWireFormat:
         with pytest.raises(Exception):
             iet_from_dict({"lengths": ["1/2", "1/2"], "permutation": [1, 1]})
 
+    @pytest.mark.parametrize("perm", [[2.0, 1.0], [2.5, 1], ["2", "1"], [True, 2], "21"])
+    def test_rejects_non_integer_permutation_entries(self, perm):
+        with pytest.raises(FormatError, match="permutation entries must be integers"):
+            iet_from_dict({"lengths": ["1/2", "1/2"], "permutation": perm})
+
     def test_flow_round_trip(self):
         flow = SuspensionFlow(rotation(F(1, 10)), (F(2), F(1)), (F(1, 4),), K=1)
         again = flow_from_dict(flow_to_dict(flow))
@@ -86,6 +91,15 @@ class TestCli:
         path.write_text(json.dumps({"lengths": ["1/2", "1/2"], "permutation": [1, 2]}))
         assert run(["eval", "--input", str(path), "--x", "1/4"]) == 1
         assert "canonical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("perm", [[2.0, 1.0], ["2", "1"]])
+    def test_non_integer_permutation_file_exit_1(self, tmp_path, capsys, perm):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"lengths": ["1/2", "1/2"], "permutation": perm}))
+        assert run(["eval", "--input", str(path), "--x", "1/4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: permutation entries must be integers\n"
 
     def test_domain_error_exit_2(self, rot13_path, capsys):
         assert run(["eval", "--input", rot13_path, "--x", "3/2"]) == 2

@@ -1,5 +1,6 @@
 """Virtual edge search, disjoint packing, criterion probes, measure scan."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -120,6 +121,24 @@ class TestMaxDisjointEdges:
                 denom = denom * x.denominator // math.gcd(denom, x.denominator)
             count = max_disjoint_edges(e, with_witness=False)[0]
             assert count == grid_pack(e, denom * denom)
+
+    def test_count_only_path_matches_the_families(self):
+        # the count-only path works on numerators; it must agree with the
+        # witness path and with the families' own packing counts
+        exact = make_iet([F(1), F(1, 6)], [2, 1])  # (L - 2 tau) / (2 tau) = 2 exactly
+        no_family = [make_iet([F(1), tau], [2, 1]) for tau in (F(1, 2), F(3, 4))]  # tau >= L/2
+        rng = random.Random(91)
+        cases = [random_iet(rng, rng.choice([2, 3, 4, 5]), resolution=60) for _ in range(200)]
+        for e in cases + [exact, *no_family, rotation(F(1, 10)), identity_iet()]:
+            count = max_disjoint_edges(e, with_witness=False)[0]
+            witnessed, witness = max_disjoint_edges(e)
+            assert count == witnessed == len(witness)
+            assert count == sum(fam.max_disjoint() for fam in find_virtual_edges(e))
+        assert max_disjoint_edges(exact, with_witness=False)[0] == 2
+        assert [fam.max_disjoint() for fam in find_virtual_edges(exact)] == [2]
+        for e in no_family:
+            assert find_virtual_edges(e) == []
+            assert max_disjoint_edges(e, with_witness=False)[0] == 0
 
     def test_witness_respects_gap(self):
         count, witness = max_disjoint_edges(rotation(F(1, 10)), gap=F(1, 100))
@@ -281,6 +300,23 @@ class TestMeasure:
         with pytest.raises(ReturnTimeExceeded):
             list(_scan_scales(iet, 1, scales))
         assert _probe_sample((iet.lengths, iet.permutation, 1, 20)) == (19, 19, 1, True)
+
+    def test_benchmark_configuration_is_pinned(self):
+        # the benchmark's measure configuration; values recorded before the
+        # exchange core moved to integer numerators
+        report = estimate_full_measure(4, ClosingCriterion(-3, 1), depth=32, samples=40, seed=101)
+        assert report.counts == {"certified_to_depth": 35, "refuted_at_depth": 5, "undecided_tie": 0}
+        assert report.reducible_draws == 40
+        rows = [
+            (s.verdict, s.scales_probed, s.scales_passed, s.first_pass_index, s.tie)
+            for s in report.per_sample
+        ]
+        assert rows[:2] == [
+            ("certified_to_depth", 32, 8, 7, False),
+            ("refuted_at_depth", 32, 0, None, False),
+        ]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "ce5c76cc15aa1c1eae82c274ed673bfce26bcb24e52d57348c871ba9c2cae96d"
 
     def test_worker_pool_matches_sequential(self):
         crit = ClosingCriterion(-3, 1)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from ietflow import (
+    Iet,
     NonPositiveLength,
     OutOfDomain,
     PermutationNotBijective,
@@ -70,6 +71,13 @@ class TestConstruction:
             make_iet([F(1, 2), F(1, 2)], [1, 1])
         with pytest.raises(PermutationNotBijective):
             make_iet([F(1, 2), F(1, 2)], [1, 3])
+
+    def test_rejects_non_integer_permutation_entries(self):
+        # int() of these entries would give a valid bijection, but a float,
+        # a bool or a string is not a rank
+        for perm in ([2.7, 1.2], [2.0, 1.0], [True, 2], [2, True], ["2", "1"]):
+            with pytest.raises(PermutationNotBijective, match="not an integer"):
+                Iet([F(1, 2), F(1, 2)], perm)
 
     def test_canonical_form_stable(self):
         rng = random.Random(5)

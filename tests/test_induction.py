@@ -1,11 +1,13 @@
 """First-return maps, Rauzy moves, and their cross-validation."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from ietflow import (
+    Iet,
     ReduciblePermutation,
     ReturnTimeExceeded,
     TieEncountered,
@@ -17,6 +19,7 @@ from ietflow import (
     rauzy_step,
     rescale,
 )
+from ietflow.edges import default_probe_scales
 from .test_iet_core import random_iet, rotation
 
 
@@ -103,6 +106,99 @@ class TestInduce:
         for (lo, hi), k in zip(res.pieces, res.return_times):
             mid = (lo + hi) / 2
             assert parent.iterate(mid, k) == res.induced.evaluate(mid)
+
+
+def follow_piece(parent, b, lo, hi, cap=100000):
+    """Follow the piece [lo, hi) under ``parent`` with ``Iet.evaluate`` until
+    it re-enters [0, b).  Every image must be one interval clear of the
+    parent's breakpoints, so the whole piece moves by one translation.
+    Returns the image of lo and the number of steps."""
+    x, width, steps = lo, hi - lo, 0
+    while True:
+        assert not any(x < c < x + width for c in parent.breakpoints)
+        x = parent.evaluate(x)
+        steps += 1
+        if x < b:
+            assert x + width <= b
+            return x, steps
+        assert steps < cap
+
+
+def assert_matches_oracle(parent, b, res):
+    """``res`` is the first-return map of ``parent`` to [0, b), piece by piece."""
+    assert res.pieces[0][0] == 0 and res.pieces[-1][1] == b
+    for (lo, hi), (nxt, _) in zip(res.pieces[:-1], res.pieces[1:]):
+        assert hi == nxt
+    assert res.parent_break_hits == tuple(lo for lo, _ in res.pieces[1:])
+    for (lo, hi), k in zip(res.pieces, res.return_times):
+        image, steps = follow_piece(parent, b, lo, hi)
+        assert steps == k
+        assert res.induced.evaluate(lo) == image
+        mid = (lo + hi) / 2
+        assert res.induced.evaluate(mid) == image + (mid - lo)
+
+
+def assert_lowest_terms(values):
+    for x in values:
+        assert type(x) is F
+        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
+
+class TestIntegerPath:
+    """``induce`` runs on numerators over one common denominator; its
+    results must be the exact first-return maps, as Fractions."""
+
+    def test_denominators_coprime_to_the_base(self):
+        parent = make_iet([F(1, 3), F(2, 7), F(8, 21)], [3, 2, 1])
+        b = F(5, 11)
+        res = induce(parent, b)
+        assert_matches_oracle(parent, b, res)
+        assert res.induced.base_length == b
+
+    def test_halving_fallback_scale_doubles_the_denominator(self):
+        # Rauzy induction ties after 19 moves; the fallback scales halve
+        # the last Rauzy scale, 111/250, so 111/1000 needs twice the
+        # denominator of its parent's lengths
+        iet = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
+        scales, fallback = default_probe_scales(iet, 22)
+        assert fallback and scales[18:] == [F(111, 250), F(111, 500), F(111, 1000), F(111, 2000)]
+        current = iet
+        for b in scales[:19]:
+            current = induce(current, b).induced
+        longest = 0
+        for b in scales[19:]:
+            denom = math.lcm(*(x.denominator for x in current.lengths))
+            if b == F(111, 1000):
+                assert b.denominator == 2 * denom
+            res = induce(current, b, max_steps=10**4)
+            assert_matches_oracle(current, b, res)
+            longest = max(longest, *res.return_times)
+            current = res.induced
+        # 111/500 returns after up to 112 steps, past its default budget
+        assert longest == 112
+
+    def test_long_return(self):
+        parent = rotation(F(1, 10))
+        b = F(1, 1000)
+        res = induce(parent, b)
+        assert_matches_oracle(parent, b, res)
+        assert res.return_times == (10,)
+
+    def test_public_values_are_fractions_in_lowest_terms(self):
+        for e in (Iet([1, "4/6", "3/9"], [3, 2, 1]), Iet(["6/4", 2, "2/8"], [2, 3, 1])):
+            assert_lowest_terms(e.lengths)
+            assert_lowest_terms(e.breakpoints)
+            assert_lowest_terms(e.translations)
+            assert_lowest_terms([e.base_length])
+            res = induce(e, "10/12")
+            assert_lowest_terms([x for piece in res.pieces for x in piece])
+            assert_lowest_terms(res.parent_break_hits)
+            assert_lowest_terms([res.parent_base])
+        with pytest.raises(ReturnTimeExceeded) as info:
+            induce(rotation(F(1, 10)), "2/4000", max_steps=3)
+        assert info.value.scale == F(1, 2000)
+        assert_lowest_terms([info.value.scale])
+        assert "(inducing on [0, 1/2000))" in str(info.value)
 
 
 def euclid_oracle(a, b):
