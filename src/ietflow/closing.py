@@ -23,6 +23,12 @@ returns exactly to b.
 Box geometry stays exact rational.  The closing parameter has a closed
 form, evaluated in floating point without any search; the float twisted
 kernel re-validates it by forward integration.
+
+Closing runs on first-return suspensions over shrinking neighbourhoods
+[0, b).  Each scale checks the edge quota on the induced exchange first and
+builds the suspension only when the quota is met; the suspension's roofs
+and pulled-back singular points come from one walk of the return orbits on
+integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -389,43 +395,76 @@ _LADDER = (
 )
 
 
-def induced_suspension(flow: SuspensionFlow, b: Fraction) -> tuple[SuspensionFlow, InducedResult]:
+def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> tuple[SuspensionFlow, InducedResult]:
     """First-return suspension over [0, b): accumulated roofs and the
     pulled-back singular set.
 
-    The roof over a return-time piece is the total flight time of its
-    return orbit; a point is singular for the induced flow when its orbit
-    meets a singular point of the parent before returning.
+    The roof over a point is the total flight time of its return orbit; a
+    point is singular for the induced flow when its orbit meets a singular
+    point of the parent before returning.
     """
     result = induce(flow.base, b)
+    return _suspend(flow, as_rational(b), result), result
+
+
+def _suspend(flow: SuspensionFlow, b: Fraction, result: InducedResult) -> SuspensionFlow:
+    """The suspension over the induced exchange of ``result``.
+
+    Walks the return orbit of each piece on integer numerators over one
+    denominator.  A piece is a list of cells, each with its own offset and
+    accumulated roof; a cell splits where its orbit segment [lo + off,
+    hi + off) straddles a cut of the parent's partition, so every cell of
+    the output partition has one roof and one orbit.  A segment straddles
+    a breakpoint of the parent only where ``induce`` merged neighbouring
+    pieces whose orbits part on the way and return with one translation.
+    """
     base = flow.base
-    roofs = []
-    singulars: set[Fraction] = set()
+    part = flow.partition
+    # translations share the breakpoints' denominator, which the partition
+    # refines, so every cut, shift and singular point lives on 1/denom
+    denom = math.lcm(b.denominator, *(x.denominator for x in (*part, *flow.singular_points)))
+    cuts = [x.numerator * (denom // x.denominator) for x in part]
+    shifts = []
+    for x in part[:-1]:
+        tau = base.translations[bisect.bisect_right(base.breakpoints, x) - 1]
+        shifts.append(tau.numerator * (denom // tau.denominator))
+    sing = [q.numerator * (denom // q.denominator) for q in flow.singular_points]
+    rden = math.lcm(*(r.denominator for r in flow.roof))
+    rnums = [r.numerator * (rden // r.denominator) for r in flow.roof]
+
+    starts: list[int] = []
+    roofs: list[int] = []
+    pulled: set[int] = set()
     for (lo, hi), k in zip(result.pieces, result.return_times):
-        mid = (lo + hi) / 2
-        acc = Fraction(0)
-        offset = Fraction(0)
-        pos = mid
+        end = hi.numerator * (denom // hi.denominator)
+        # (left end, offset, roof) of each cell, in the piece's coordinates
+        cells = [(lo.numerator * (denom // lo.denominator), 0, 0)]
         for _ in range(k):
-            acc += flow.roof_at(pos)
-            seg_lo, seg_hi = lo + offset, hi + offset
-            for q in flow.singular_points:
-                if seg_lo <= q < seg_hi:
-                    singulars.add(q - offset)
-            tau = base.translations[base.piece_index(pos)]
-            offset += tau
-            pos += tau
-        roofs.append(acc)
-    partition = tuple(p[0] for p in result.pieces) + (b,)
-    return (
-        SuspensionFlow(
-            base=result.induced,
-            roof=tuple(roofs),
-            singular_points=tuple(sorted(singulars)),
-            K=flow.K,
-            partition=partition,
-        ),
-        result,
+            moved = []
+            for i, (x, off, acc) in enumerate(cells):
+                s = x + off
+                e = (cells[i + 1][0] if i + 1 < len(cells) else end) + off
+                j = bisect.bisect_left(sing, s)
+                while j < len(sing) and sing[j] < e:
+                    pulled.add(sing[j] - off)
+                    j += 1
+                c = bisect.bisect_right(cuts, s) - 1
+                while True:
+                    moved.append((s - off, off + shifts[c], acc + rnums[c]))
+                    c += 1
+                    s = cuts[c]
+                    if s >= e:
+                        break
+            cells = moved
+        for x, _, acc in cells:
+            starts.append(x)
+            roofs.append(acc)
+    return SuspensionFlow(
+        base=result.induced,
+        roof=tuple(Fraction(r, rden) for r in roofs),
+        singular_points=tuple(Fraction(q, denom) for q in sorted(pulled)),
+        K=flow.K,
+        partition=tuple(Fraction(x, denom) for x in starts) + (b,),
     )
 
 
@@ -465,11 +504,13 @@ def close_at_point(
 ) -> list[ClosingResult]:
     """Close orbits through shrinking neighborhoods [0, b_n) of p.
 
-    Each step induces the flow on a strictly smaller base that still meets
-    the edge quota, builds the flow box over an admissible edge, and runs
-    the closing search with a twist budget proportional to the
-    neighborhood width (so successive closing parameters shrink along with
-    the neighborhoods).  Raises NoEdgeInNeighborhood(n) when no scale
+    Each step induces the exchange on a strictly smaller base whose
+    induced exchange meets the edge quota, and only then builds the
+    first-return suspension over it (its roof and singular walk runs on
+    integer numerators).  It builds the flow box over an admissible edge
+    and computes the closing parameter with a twist budget proportional to
+    the neighborhood width (so successive closing parameters shrink along
+    with the neighborhoods).  Raises NoEdgeInNeighborhood(n) when no scale
     below the previous one admits a quota-meeting, singularity-free edge.
     """
     p = as_rational(p)
@@ -487,10 +528,11 @@ def close_at_point(
             b = b_prev * factor
             if b <= p:
                 continue
-            flow_n, _ = induced_suspension(flow, b)
-            count, _ = max_disjoint_edges(flow_n.base, with_witness=False)
+            result = induce(flow.base, b)
+            count, _ = max_disjoint_edges(result.induced, with_witness=False)
             if count < criterion.threshold:
                 continue
+            flow_n = _suspend(flow, b, result)
             edge = _pick_admissible_edge(flow_n, blocked)
             if edge is None:
                 continue

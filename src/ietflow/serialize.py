@@ -18,6 +18,13 @@ from .errors import FormatError
 from .iet import Iet, format_rational, make_iet, parse_rational
 
 
+def _rational_list(data: dict, key: str, default: list | None = None) -> list:
+    values = data.get(key, default)
+    if not isinstance(values, list):
+        raise FormatError(f"'{key}' must be a list of p/q strings")
+    return [parse_rational(str(x)) for x in values]
+
+
 def iet_to_dict(iet: Iet) -> dict:
     return {
         "lengths": [format_rational(x) for x in iet.lengths],
@@ -28,7 +35,7 @@ def iet_to_dict(iet: Iet) -> dict:
 def iet_from_dict(data: dict) -> Iet:
     if not isinstance(data, dict) or "lengths" not in data or "permutation" not in data:
         raise FormatError("exchange JSON needs 'lengths' and 'permutation'")
-    lengths = [parse_rational(str(x)) for x in data["lengths"]]
+    lengths = _rational_list(data, "lengths")
     permutation = data["permutation"]
     if not isinstance(permutation, list) or any(type(p) is not int for p in permutation):
         raise FormatError("permutation entries must be integers")
@@ -68,9 +75,11 @@ def flow_from_dict(data: dict) -> SuspensionFlow:
     if not isinstance(data, dict) or "base" not in data or "roof" not in data:
         raise FormatError("flow JSON needs 'base' and 'roof'")
     base = iet_from_dict(data["base"])
-    roof = [parse_rational(str(r)) for r in data["roof"]]
-    singulars = [parse_rational(str(q)) for q in data.get("singular_points", [])]
-    k = int(data.get("K", len(singulars)))
+    roof = _rational_list(data, "roof")
+    singulars = _rational_list(data, "singular_points", [])
+    k = data.get("K", len(singulars))
+    if type(k) is not int:
+        raise FormatError("'K' must be an integer")
     try:
         return SuspensionFlow(base, tuple(roof), tuple(singulars), k)
     except ValueError as exc:

@@ -61,6 +61,29 @@ class TestWireFormat:
         with pytest.raises(FormatError, match="permutation entries must be integers"):
             iet_from_dict({"lengths": ["1/2", "1/2"], "permutation": perm})
 
+    @pytest.mark.parametrize("lengths", ["12", 5, {"1/2": "1/2"}, None])
+    def test_rejects_lengths_that_are_not_a_list(self, lengths):
+        with pytest.raises(FormatError, match="'lengths' must be a list"):
+            iet_from_dict({"lengths": lengths, "permutation": [2, 1]})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("roof", "12", "'roof' must be a list"),
+            ("roof", 3, "'roof' must be a list"),
+            ("singular_points", "1/4", "'singular_points' must be a list"),
+            ("singular_points", 0, "'singular_points' must be a list"),
+            ("K", 2.7, "'K' must be an integer"),
+            ("K", True, "'K' must be an integer"),
+            ("K", "1", "'K' must be an integer"),
+        ],
+    )
+    def test_rejects_mistyped_flow_fields(self, field, value, message):
+        data = flow_to_dict(SuspensionFlow(rotation(F(1, 10)), (F(2), F(1)), (F(1, 4),), K=1))
+        data[field] = value
+        with pytest.raises(FormatError, match=message):
+            flow_from_dict(data)
+
     def test_flow_round_trip(self):
         flow = SuspensionFlow(rotation(F(1, 10)), (F(2), F(1)), (F(1, 4),), K=1)
         again = flow_from_dict(flow_to_dict(flow))
@@ -100,6 +123,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: permutation entries must be integers\n"
+
+    def test_string_lengths_file_exit_1(self, tmp_path, capsys):
+        # a string is not read character by character as lengths [1, 2]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"lengths": "12", "permutation": [2, 1]}))
+        assert run(["eval", "--input", str(path), "--x", "1/4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: 'lengths' must be a list of p/q strings\n"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("roof", "11", "'roof' must be a list of p/q strings"),
+            ("K", 2.7, "'K' must be an integer"),
+            ("K", True, "'K' must be an integer"),
+        ],
+    )
+    def test_mistyped_flow_file_exit_1(self, tmp_path, capsys, field, value, message):
+        data = flow_to_dict(SuspensionFlow(rotation(F(1, 10)), (F(1), F(1))))
+        data[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run(["close", "--flow", str(path), "--point", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
 
     def test_domain_error_exit_2(self, rot13_path, capsys):
         assert run(["eval", "--input", rot13_path, "--x", "3/2"]) == 2

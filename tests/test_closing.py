@@ -1,6 +1,9 @@
 """Suspension flow boxes, twisted returns, and the closing parameter."""
 
+import hashlib
 import math
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from ietflow import (
     ClosingCriterion,
     ContinuationBroken,
+    IetError,
     LeftBoxUndefined,
     NoClosingInRange,
     NoEdgeInNeighborhood,
@@ -23,7 +27,7 @@ from ietflow import (
     twisted_return,
 )
 from ietflow.closing import TwistFamily, induced_suspension
-from ietflow.edges import VirtualEdge
+from ietflow.edges import VirtualEdge, sample_iet
 from .test_iet_core import rotation
 
 
@@ -290,3 +294,158 @@ class TestCloseAtPoint:
     def test_invalid_point(self):
         with pytest.raises(ValueError):
             close_at_point(tenth_flow(), F(3, 2), ClosingCriterion(-3, 1), 1)
+
+
+def flight_oracle(flow, b, x, max_flights=10_000):
+    """Brute-force first return to [0, b) of the suspension flow from x:
+    follows the orbit with ``Iet.evaluate`` and sums ``roof_at`` until it
+    re-enters, collecting the singular points it meets on the way."""
+    singular = set(flow.singular_points)
+    roof, met, pos = F(0), [], x
+    for _ in range(max_flights):
+        if pos in singular:
+            met.append(pos)
+        roof += flow.roof_at(pos)
+        pos = flow.base.evaluate(pos)
+        if pos < b:
+            return roof, met
+    raise AssertionError(f"no return to [0, {b}) from {x}")
+
+
+def first_entries(flow, b, max_flights=10_000):
+    """Where the backward orbit of each singular point first lies in
+    [0, b): exactly the points whose flight meets it before returning.
+    A singular point whose periodic orbit misses [0, b) has none."""
+    inverse = flow.base.invert()
+    entries = set()
+    for q in flow.singular_points:
+        for _ in range(max_flights):
+            if q < b:
+                entries.add(q)
+                break
+            q = inverse.evaluate(q)
+    return entries
+
+
+def assert_matches_flights(flow, b, grid=997):
+    """Check ``induced_suspension(flow, b)`` against the flight oracle on a
+    grid of [0, b), the induced singular points and the first entries."""
+    induced, _ = induced_suspension(flow, b)
+    singular = set(induced.singular_points)
+    points = {b * k / grid for k in range(grid)} | singular | first_entries(flow, b)
+    for x in sorted(points):
+        roof, met = flight_oracle(flow, b, x)
+        assert induced.roof_at(x) == roof, x
+        assert (x in singular) == bool(met), x
+    return induced
+
+
+def pool_flow(rng, i):
+    """The i-th flow of the benchmark's close mix (a copy of
+    perfbench/workloads.py::random_flow): rotations by p/q with q <= 60 at
+    even i, generic m=3 or m=4 exchanges at odd i, integer roofs 1..5 and
+    one singular point in every fourth pair."""
+    if i % 2 == 0:
+        q = rng.randint(2, 60)
+        a = F(rng.randint(1, q - 1), q)
+        base = make_iet([1 - a, a], [2, 1])
+    else:
+        base, _ = sample_iet(rng, 3 + (i // 2) % 2, 1000)
+    roof = tuple(F(rng.randint(1, 5)) for _ in range(base.m))
+    singular = (F(rng.randint(1, 999), 1000),) if (i // 2) % 4 == 0 else ()
+    return SuspensionFlow(base, roof, singular, K=len(singular))
+
+
+CHAINED = SuspensionFlow(
+    make_iet([F(574, 2109), F(44, 111), F(233, 703)], [3, 2, 1]), (F(2), F(1), F(5))
+)
+
+
+class TestSuspensionWalk:
+    def test_non_integer_roofs(self):
+        flow = SuspensionFlow(
+            make_iet([F(2, 7), F(3, 7), F(2, 7)], [3, 2, 1]), (F(1, 3), F(5, 7), F(2))
+        )
+        assert_matches_flights(flow, F(1, 2))
+        assert_matches_flights(flow, F(3, 10))
+
+    def test_singular_denominators_coprime_to_the_base(self):
+        flow = SuspensionFlow(
+            make_iet([F(3, 10), F(1, 2), F(1, 5)], [3, 2, 1]),
+            (F(1), F(2), F(3)),
+            (F(3, 7), F(8, 11), F(12, 13)),
+        )
+        induced = assert_matches_flights(flow, F(2, 5))
+        assert induced.singular_points
+
+    def test_two_singular_points_in_one_segment(self):
+        # the slow piece [2/5, 1/2) of the rotation by 1/10 crosses
+        # [3/5, 7/10) on its second flight
+        flow = tenth_flow([F(31, 50), F(33, 50)])
+        induced = assert_matches_flights(flow, F(1, 2))
+        assert induced.singular_points == (F(21, 50), F(23, 50))
+
+    def test_singular_point_at_a_segment_left_end(self):
+        # 1/2 opens the slow piece's first image [1/2, 3/5); 2/5 opens the
+        # piece itself and closes the fast piece [0, 2/5)
+        for q, pulled in ((F(1, 2), F(2, 5)), (F(2, 5), F(2, 5)), (F(7, 10), F(2, 5))):
+            induced = assert_matches_flights(tenth_flow([q]), F(1, 2))
+            assert induced.singular_points == (pulled,)
+
+    def test_segment_straddling_a_parent_breakpoint(self):
+        # the whole of [0, 17/50) returns after two flights with one
+        # translation, yet its first image straddles the breakpoint 7/24
+        flow = SuspensionFlow(
+            make_iet([F(7, 24), F(5, 24), F(5, 24), F(7, 24)], [4, 3, 2, 1]),
+            (F(1), F(2), F(3), F(4)),
+            (F(1, 2), F(2, 3)),
+        )
+        _, result = induced_suspension(flow, F(17, 50))
+        assert result.return_times == (2,)
+        assert_matches_flights(flow, F(17, 50))
+
+    def test_chained_induction_matches_direct(self):
+        level1, _ = induced_suspension(CHAINED, F(7, 10))
+        chained = assert_matches_flights(level1, F(2, 5))
+        direct = assert_matches_flights(CHAINED, F(2, 5))
+        assert chained.roof_at(F(574, 2109)) == direct.roof_at(F(574, 2109)) == 1
+        assert chained.singular_points == direct.singular_points
+
+    def test_chained_induction_on_seeded_flows(self):
+        rng = random.Random(8)
+        for i in range(40):
+            flow = pool_flow(rng, i)
+            b1 = F(rng.randint(50, 95), 100)
+            b2 = b1 * F(rng.randint(30, 95), 100)
+            try:
+                level1, _ = induced_suspension(flow, b1)
+                chained, _ = induced_suspension(level1, b2)
+                direct, _ = induced_suspension(flow, b2)
+            except IetError:
+                continue
+            assert chained.singular_points == direct.singular_points
+            for k in range(199):
+                x = b2 * k / 199
+                assert chained.roof_at(x) == direct.roof_at(x) == flight_oracle(flow, b2, x)[0]
+
+    def test_close_at_point_outcomes_pinned(self):
+        rng = random.Random(20)
+        rows = []
+        for i in range(512):
+            flow = pool_flow(rng, i)
+            try:
+                results = close_at_point(flow, 0, ClosingCriterion(-3, 1), 3)
+            except IetError as exc:
+                rows.append(type(exc).__name__)
+                continue
+            rows.append(
+                "closed "
+                + " ".join(
+                    f"{r.scale}:{r.sigma1.hex()}:{r.periodic_point.hex()}:{r.residual.hex()}"
+                    for r in results
+                )
+            )
+        counts = Counter(row.split()[0] for row in rows)
+        assert counts == {"closed": 103, "NoEdgeInNeighborhood": 402, "ReturnTimeExceeded": 7}
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == "4b4b4facf8089f40f3e9d07b9e36d0a9397eefeb16e0b9411a067a303bc49121"
