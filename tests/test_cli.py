@@ -1,5 +1,6 @@
 """CLI behavior, wire formats, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -244,3 +245,81 @@ class TestCli:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "step,position,accumulated_time"
         assert len(lines) >= 3
+
+
+@pytest.fixture
+def pinned_inputs(tmp_path):
+    flows = {
+        "tenth.json": SuspensionFlow(rotation(F(1, 10)), (F(1), F(1))),
+        "m3.json": SuspensionFlow(
+            make_iet([F(412, 1000), F(271, 1000), F(317, 1000)], [3, 2, 1]),
+            (F(2), F(1), F(3)),
+            (F(1, 7),),
+        ),
+    }
+    for name, flow in flows.items():
+        (tmp_path / name).write_text(json.dumps(flow_to_dict(flow)))
+    m4 = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
+    dump_iet(m4, str(tmp_path / "m4.json"))
+    return tmp_path
+
+
+class TestPinnedBytes:
+    """Exit code, stdout sha256 and stderr of fixed invocations, generated
+    before the unreachable closing and induction branches were deleted."""
+
+    @pytest.mark.parametrize(
+        "argv, code, stdout_sha256, stderr",
+        [
+            (
+                ["close", "--flow", "tenth.json", "--point", "0"],
+                0,
+                "c86b15ee719e74320883de2ae52b3c0fe29a3df3797a0ed521badccba31fe54d",
+                "",
+            ),
+            (
+                ["close", "--flow", "tenth.json", "--point", "1/7"],
+                0,
+                "c86b15ee719e74320883de2ae52b3c0fe29a3df3797a0ed521badccba31fe54d",
+                "",
+            ),
+            (
+                ["close", "--flow", "m3.json", "--point", "0"],
+                2,
+                hashlib.sha256(b"").hexdigest(),
+                "NoEdgeInNeighborhood: no admissible virtual edge at shrink step 1\n",
+            ),
+            (
+                ["rauzy", "--input", "m4.json", "--depth", "25", "--cross-check"],
+                0,
+                "156a33182afc9a5a326cba7a4792699a8e696a8d20faef762edb827dcaaa016a",
+                "",
+            ),
+            (
+                ["induce", "--input", "m4.json", "--b", "1"],
+                0,
+                "2f4d73176e5c2cab8188b2c9608d296e0d5ebcdbfb3ce65db84006481035deaa",
+                "",
+            ),
+            (
+                ["induce", "--input", "m4.json", "--b", "1/3"],
+                2,
+                hashlib.sha256(b"").hexdigest(),
+                "ReturnTimeExceeded: no return within 80 steps (inducing on [0, 1/3))\n",
+            ),
+            (
+                ["induce", "--input", "m4.json", "--b", "1/3", "--max-steps", "2000"],
+                0,
+                "962ecbdd925cace748512cd5af0364ba0fb1f18a81f47b165954d8f65cfce318",
+                "",
+            ),
+        ],
+    )
+    def test_pinned_invocation(
+        self, pinned_inputs, monkeypatch, capsys, argv, code, stdout_sha256, stderr
+    ):
+        monkeypatch.chdir(pinned_inputs)
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha256
+        assert captured.err == stderr
