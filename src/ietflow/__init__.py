@@ -16,7 +16,6 @@ from .errors import (
     NoClosingInRange,
     NoEdgeInNeighborhood,
     NonPositiveLength,
-    NotEmbedded,
     NotInduced,
     OutOfDomain,
     PermutationNotBijective,

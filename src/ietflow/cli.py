@@ -61,7 +61,7 @@ def _emit(opts: argparse.Namespace, payload: dict) -> None:
 
 
 def _criterion(opts) -> ClosingCriterion:
-    return ClosingCriterion(opts.chi, opts.k, opts.singularities)
+    return ClosingCriterion(opts.chi, opts.k)
 
 
 def _cmd_eval(opts: argparse.Namespace) -> int:
@@ -226,7 +226,6 @@ def _cmd_close(opts: argparse.Namespace) -> int:
         parse_rational(opts.point),
         _criterion(opts),
         opts.shrink_steps,
-        opts.tolerance,
     )
     if opts.trace_csv:
         with open(opts.trace_csv, "w", newline="", encoding="utf-8") as handle:
@@ -279,7 +278,6 @@ def _build_parser() -> _Parser:
     def add_criterion(p):
         p.add_argument("--chi", type=int, default=-3, help="Euler characteristic (signed)")
         p.add_argument("--k", type=int, default=1, help="criterion index (>= 1)")
-        p.add_argument("--singularities", type=int, default=0, help="singularity count K")
 
     p = sub.add_parser("eval", help="evaluate an exchange at a point")
     p.add_argument("--input", required=True, help="exchange JSON file")
@@ -328,7 +326,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--flow", required=True, help="flow JSON file")
     p.add_argument("--point", required=True, help="recurrent point, as p/q")
     p.add_argument("--shrink-steps", type=int, default=3, dest="shrink_steps")
-    p.add_argument("--tolerance", type=float, default=1e-9)
     add_criterion(p)
     p.add_argument("--trace-csv", dest="trace_csv", help="dump orbit crossings")
     p.add_argument("--output")

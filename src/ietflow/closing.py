@@ -43,7 +43,6 @@ from .errors import (
     LeftBoxUndefined,
     NoClosingInRange,
     NoEdgeInNeighborhood,
-    NotEmbedded,
     SingularityInBox,
 )
 from .edges import (
@@ -104,10 +103,6 @@ class SuspensionFlow:
             raise ValueError(f"{x} outside the base interval")
         return self.roof[bisect.bisect_right(self.partition, x) - 1]
 
-    def satisfies_singularity_bound(self, chi: int) -> bool:
-        """Whether the gap set respects the structural bound chi + K + 2."""
-        return len(self.singular_points) <= chi + self.K + 2
-
     def float_tables(self):
         """Float copies of the geometry for the twisted kernel."""
         return (
@@ -149,9 +144,7 @@ def build_flow_box(flow: SuspensionFlow, edge: VirtualEdge) -> FlowBox:
     """Assemble the simple flow box bounded by the edge and its orbit arc.
 
     Raises SingularityInBox when a singular point lies on [a_bar, c_bar]
-    (either flight would die), and NotEmbedded if an intermediate crossing
-    of the arc fell inside the open orthogonal edge anywhere other than
-    the figure-eight vertex.
+    (either flight would die).
     """
     base = flow.base
     edge.validate(base)
@@ -166,21 +159,12 @@ def build_flow_box(flow: SuspensionFlow, edge: VirtualEdge) -> FlowBox:
         raise ValueError("roof is not constant over the box strip")
     r1 = flow.roof[cell]
     r2 = flow.roof_at(b_bar)
-    tangent = (((a_bar, b_bar), r1), ((b_bar, c_bar), r2))
-
-    # crossings of the base strictly inside the arc may only be the
-    # figure-eight vertex; anything else inside (a_bar, c_bar) means the arc
-    # re-enters the orthogonal edge and the region is not embedded
-    for (_, flight_end), _ in tangent[:-1]:
-        if flight_end != b_bar and a_bar < flight_end < c_bar:
-            raise NotEmbedded(f"arc re-enters the orthogonal edge at {flight_end}")
-
     return FlowBox(
         a_bar=a_bar,
         b_bar=b_bar,
         c_bar=c_bar,
         orthogonal_edge=(a_bar, c_bar),
-        tangent_edge=tangent,
+        tangent_edge=(((a_bar, b_bar), r1), ((b_bar, c_bar), r2)),
         total_height=r1 + r2,
     )
 
@@ -307,13 +291,9 @@ def continuation_curve(family: TwistFamily, steps: int) -> list[tuple[float, flo
     _check_coherent(family)
     sigma = family.sigma_max
     points = []
-    prev = None
     for i in range(steps):
         t = sigma * i / (steps - 1)
         pt = _continuation_point(family, t)
-        if prev is not None and pt < prev:
-            raise ContinuationBroken("continuation endpoint moved backwards")
-        prev = pt
         points.append((t, pt))
     return points
 
@@ -536,10 +516,7 @@ def close_at_point(
             edge = _pick_admissible_edge(flow_n, blocked)
             if edge is None:
                 continue
-            try:
-                box = build_flow_box(flow_n, edge)
-            except SingularityInBox:
-                continue
+            box = build_flow_box(flow_n, edge)
             tau = float(edge.e1 - edge.s)
             r1 = float(box.strip_height)
             sigma_budget = float(b) / (2.0 * float(box.total_height))

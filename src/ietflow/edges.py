@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,10 +48,6 @@ class VirtualEdge:
         piece = iet.piece_index(self.s)
         if self.t >= iet.breakpoints[piece + 1]:
             raise ValueError(f"edge {self} leaves its continuity interval")
-
-    @property
-    def length(self) -> Fraction:
-        return self.t - self.s
 
 
 @dataclass(frozen=True)
@@ -175,20 +170,15 @@ class ClosingCriterion:
     """Edge quota per probed scale.
 
     The quota is chi + k + 3 clamped below at 1; the clamp is flagged so
-    reports can surface when the raw formula was non-positive.  The
-    surface's singularity count is carried for bookkeeping (closing runs
-    normally take k at least that large).
+    reports can surface when the raw formula was non-positive.
     """
 
     euler_characteristic: int
     k: int
-    singularity_count: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.singularity_count < 0:
-            raise ValueError("singularity count must be >= 0")
 
     @property
     def raw_threshold(self) -> int:
@@ -444,6 +434,8 @@ def estimate_full_measure(
 
     jobs = [(iet.lengths, iet.permutation, criterion.threshold, depth) for iet in drawn]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_probe_sample, jobs, chunksize=8))
     else:

@@ -62,11 +62,6 @@ class SingularityInBox(IetError):
         super().__init__(message or f"singular point {point} blocks the flow box")
 
 
-class NotEmbedded(IetError):
-    """The orbit arc re-enters the orthogonal edge, so the candidate
-    region is not an embedded flow box."""
-
-
 class LeftBoxUndefined(IetError):
     """A twisted orbit ran into a singular gap of the cross-section."""
 

@@ -78,16 +78,6 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
 
-    if b == parent.base_length:
-        pieces = tuple(zip(parent.breakpoints[:-1], parent.breakpoints[1:]))
-        return InducedResult(
-            induced=parent,
-            return_times=(1,) * parent.m,
-            pieces=pieces,
-            parent_break_hits=tuple(parent.breakpoints[1:-1]),
-            parent_base=parent.base_length,
-        )
-
     # every cut, offset and piece end below is an integer multiple of
     # 1/denom, so the propagation runs on the numerators alone
     denom = math.lcm(b.denominator, *(x.denominator for x in parent.breakpoints))
@@ -245,10 +235,6 @@ class RauzyTrajectory:
     scales: tuple[Fraction, ...]
     halt_reason: str  # "depth_reached" or "tie_encountered"
 
-    @property
-    def depth_reached(self) -> int:
-        return len(self.steps)
-
 
 def rauzy_orbit(iet: Iet, depth: int) -> RauzyTrajectory:
     """Apply up to ``depth`` Rauzy moves, halting early at a tie."""
@@ -302,9 +288,9 @@ def check_induction_consistency(iet: Iet, depth: int) -> ConsistencyReport:
     """Cross-validate Rauzy moves against first-return maps.
 
     For each n reached before a tie, the n-step Rauzy state (combinatorial
-    route) is compared, after normalization to [0, 1), with the first-return
-    map of the original exchange to [0, a_n) (interval-propagation route).
-    Equality is exact.
+    route) is compared with the first-return map of the original exchange
+    to [0, a_n) (interval-propagation route).  Both have base length a_n,
+    so they are compared unnormalized, and equality is exact.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -319,7 +305,5 @@ def check_induction_consistency(iet: Iet, depth: int) -> ConsistencyReport:
         # first return to a shrinking base factors through the previous one,
         # so each comparison only needs one short induction
         induced_prev = induce(induced_prev, scale).induced
-        lhs = rescale(induced_prev, 1)
-        rhs = rescale(step.after, 1)
-        entries.append(ConsistencyEntry(n, scale, lhs == rhs))
+        entries.append(ConsistencyEntry(n, scale, induced_prev == step.after))
     return ConsistencyReport(tuple(entries), orbit.halt_reason)

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import ietflow
 from ietflow import FormatError, SuspensionFlow, make_iet
 from ietflow.cli import run
 from ietflow.serialize import (
@@ -151,6 +155,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["probe", "--input", "{rot13}", "--singularities", "1"],
+            ["measure", "--m", "2", "--samples", "5", "--seed", "1", "--singularities", "1"],
+            ["close", "--flow", "{flow}", "--point", "0", "--singularities", "1"],
+            ["close", "--flow", "{flow}", "--point", "0", "--tolerance", "1e-9"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, rot13_path, flow_path, capsys, argv):
+        argv = [a.format(rot13=rot13_path, flow=flow_path) for a in argv]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_import_leaves_the_worker_pool_unloaded(self):
+        code = "import sys, ietflow.cli; print('concurrent.futures.process' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ietflow.__file__))),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_domain_error_exit_2(self, rot13_path, capsys):
         assert run(["eval", "--input", rot13_path, "--x", "3/2"]) == 2

@@ -101,13 +101,6 @@ class TestSuspensionFlow:
         with pytest.raises(ValueError):
             SuspensionFlow(rotation(F(1, 10)), (F(1), F(0)))
 
-    def test_singularity_bound_check(self):
-        flow = SuspensionFlow(rotation(F(1, 10)), (F(1), F(1)), (F(1, 2),), K=1)
-        assert flow.satisfies_singularity_bound(chi=-2)  # 1 <= -2 + 1 + 2
-        assert not SuspensionFlow(
-            rotation(F(1, 10)), (F(1), F(1)), (F(1, 3), F(1, 2)), K=1
-        ).satisfies_singularity_bound(chi=-2)
-
 
 class TestTwistedReturn:
     def test_zero_twist_matches_exact_map(self):

@@ -54,6 +54,19 @@ class TestInduce:
         assert res.induced == parent
         assert res.return_times == (1,) * parent.m
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_full_base_returns_every_parent_piece_at_step_one(self, m):
+        rng = random.Random(80 + m)
+        for _ in range(10):
+            unit = random_iet(rng, m)
+            for parent in (unit, rescale(unit, F(5, 7))):
+                res = induce(parent, parent.base_length)
+                assert res.induced == parent
+                assert res.pieces == tuple(zip(parent.breakpoints[:-1], parent.breakpoints[1:]))
+                assert res.parent_break_hits == tuple(parent.breakpoints[1:-1])
+                assert res.return_times == (1,) * parent.m
+                assert res.kac_total == parent.base_length
+
     def test_rotation_tenth_on_half_pointwise(self):
         parent = rotation(F(1, 10))
         b = F(1, 2)
@@ -328,3 +341,30 @@ class TestInductionConsistency:
         assert report.halt_reason == "reducible"
         assert report.entries == ()
         assert report.all_passed  # vacuously; no comparison was possible
+
+    @pytest.mark.parametrize("corrupt", ["permutation", "lengths"])
+    def test_wrong_rauzy_route_fails_at_every_depth(self, monkeypatch, corrupt):
+        # each corrupted state keeps the true base length, so only the exact
+        # comparison of the two unnormalized maps can catch it; the moves
+        # themselves follow the true states, so the scales stay the true ones
+        parent = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
+        current = [parent]
+
+        def wrong_step(iet):
+            after, kind = rauzy_step(current[0])
+            current[0] = after
+            ls, pm = list(after.lengths), list(after.permutation)
+            if corrupt == "permutation":
+                pm[0], pm[1] = pm[1], pm[0]
+            else:
+                shift = min(ls[0], ls[1]) / 2
+                ls[0], ls[1] = ls[0] - shift, ls[1] + shift
+            wrong = make_iet(ls, pm)
+            assert wrong.base_length == after.base_length and wrong != after
+            return wrong, kind
+
+        assert check_induction_consistency(parent, 6).all_passed
+        monkeypatch.setattr("ietflow.induction.rauzy_step", wrong_step)
+        report = check_induction_consistency(parent, 6)
+        assert len(report.entries) == 6
+        assert not any(e.passed for e in report.entries)
