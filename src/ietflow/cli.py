@@ -322,7 +322,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", help="write one CSV row per sample")
     p.add_argument("--output")
 
-    p = sub.add_parser("close", help="closing run over shrinking neighborhoods")
+    p = sub.add_parser("close", help="closing run down the Rauzy scales of the exchange")
     p.add_argument("--flow", required=True, help="flow JSON file")
     p.add_argument("--point", required=True, help="recurrent point, as p/q")
     p.add_argument("--shrink-steps", type=int, default=3, dest="shrink_steps")

@@ -24,17 +24,18 @@ Box geometry stays exact rational.  The closing parameter has a closed
 form, evaluated in floating point without any search; the float twisted
 kernel re-validates it by forward integration.
 
-Closing runs on first-return suspensions over shrinking neighbourhoods
-[0, b).  Each scale checks the edge quota on the induced exchange first and
-builds the suspension only when the quota is met; the suspension's roofs
-and pulled-back singular points come from one walk of the return orbits on
-integer numerators over one denominator.
+Closing walks down the probe scales of ``default_probe_scales`` (the
+Rauzy states, then halved bases past a tie) and stops on exact invariants:
+a scale <= p or an identity return map.  A first-return suspension is
+built only at a scale whose return map meets the edge quota, from the
+previous closing's suspension, walking return orbits on integer numerators.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,7 +44,9 @@ from .errors import (
     LeftBoxUndefined,
     NoClosingInRange,
     NoEdgeInNeighborhood,
+    ReduciblePermutation,
     SingularityInBox,
+    TieEncountered,
 )
 from .edges import (
     DEFAULT_WITNESS_GAP,
@@ -53,7 +56,7 @@ from .edges import (
     max_disjoint_edges,
 )
 from .iet import Iet, RationalLike, as_rational
-from .induction import InducedResult, induce
+from .induction import InducedResult, induce, rauzy_step
 
 SINGULAR_SNAP = 1e-12
 
@@ -361,19 +364,6 @@ def find_closing_parameter(
 
 # -- shrinking-neighborhood closing pipeline ---------------------------------
 
-_LADDER = (
-    Fraction(1, 2),
-    Fraction(11, 20),
-    Fraction(3, 5),
-    Fraction(13, 20),
-    Fraction(7, 10),
-    Fraction(3, 4),
-    Fraction(4, 5),
-    Fraction(17, 20),
-    Fraction(9, 10),
-    Fraction(19, 20),
-)
-
 
 def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> tuple[SuspensionFlow, InducedResult]:
     """First-return suspension over [0, b): accumulated roofs and the
@@ -382,13 +372,6 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> tuple[Suspensio
     The roof over a point is the total flight time of its return orbit; a
     point is singular for the induced flow when its orbit meets a singular
     point of the parent before returning.
-    """
-    result = induce(flow.base, b)
-    return _suspend(flow, as_rational(b), result), result
-
-
-def _suspend(flow: SuspensionFlow, b: Fraction, result: InducedResult) -> SuspensionFlow:
-    """The suspension over the induced exchange of ``result``.
 
     Walks the return orbit of each piece on integer numerators over one
     denominator.  A piece is a list of cells, each with its own offset and
@@ -398,6 +381,8 @@ def _suspend(flow: SuspensionFlow, b: Fraction, result: InducedResult) -> Suspen
     a breakpoint of the parent only where ``induce`` merged neighbouring
     pieces whose orbits part on the way and return with one translation.
     """
+    b = as_rational(b)
+    result = induce(flow.base, b)
     base = flow.base
     part = flow.partition
     # translations share the breakpoints' denominator, which the partition
@@ -445,7 +430,28 @@ def _suspend(flow: SuspensionFlow, b: Fraction, result: InducedResult) -> Suspen
         singular_points=tuple(Fraction(q, denom) for q in sorted(pulled)),
         K=flow.K,
         partition=tuple(Fraction(x, denom) for x in starts) + (b,),
-    )
+    ), result
+
+
+def _return_maps(iet: Iet) -> Iterator[Iet]:
+    """First-return maps of ``iet`` at the scales of
+    ``default_probe_scales``, lazily and without end.
+
+    The Rauzy states come first: each is the first-return map to its own
+    base (see ``check_induction_consistency``), so none is induced.  Past
+    a tie the base is halved, and each map is induced from the previous
+    one.
+    """
+    current = iet
+    try:
+        while True:
+            current, _ = rauzy_step(current)
+            yield current
+    except (TieEncountered, ReduciblePermutation):
+        pass
+    while True:
+        current = induce(current, current.base_length / 2).induced
+        yield current
 
 
 def _pick_admissible_edge(flow: SuspensionFlow, blocked: list) -> VirtualEdge | None:
@@ -466,8 +472,6 @@ def _pick_admissible_edge(flow: SuspensionFlow, blocked: list) -> VirtualEdge | 
                     room = sub_sup - q
                     candidates.append(q + min(DEFAULT_WITNESS_GAP, room / 2))
             for s in candidates:
-                if not sub_lo <= s < sub_sup:
-                    continue
                 hit = next((q for q in singulars if s <= q <= s + span), None)
                 if hit is None:
                     return fam.edge_at(s)
@@ -484,14 +488,13 @@ def close_at_point(
 ) -> list[ClosingResult]:
     """Close orbits through shrinking neighborhoods [0, b_n) of p.
 
-    Each step induces the exchange on a strictly smaller base whose
-    induced exchange meets the edge quota, and only then builds the
-    first-return suspension over it (its roof and singular walk runs on
-    integer numerators).  It builds the flow box over an admissible edge
-    and computes the closing parameter with a twist budget proportional to
-    the neighborhood width (so successive closing parameters shrink along
-    with the neighborhoods).  Raises NoEdgeInNeighborhood(n) when no scale
-    below the previous one admits a quota-meeting, singularity-free edge.
+    The steps share one lazy walk down the probe scales.  Each step takes
+    the next scale whose return map meets the edge quota and whose
+    first-return suspension, built from the previous step's, has an
+    admissible edge; its twist budget is proportional to the neighborhood
+    width, so successive closing parameters shrink with the neighborhoods.
+    Raises NoEdgeInNeighborhood(n) once the walk reaches a scale <= p or an
+    identity return map, below which every return map is the identity.
     """
     p = as_rational(p)
     if not 0 <= p < flow.base.base_length:
@@ -500,32 +503,27 @@ def close_at_point(
         raise ValueError("shrink_steps must be >= 1")
 
     results: list[ClosingResult] = []
-    b_prev = flow.base.base_length
+    maps = _return_maps(flow.base)
     for n in range(1, shrink_steps + 1):
         blocked: list = []
-        step_result = None
-        for factor in _LADDER:
-            b = b_prev * factor
-            if b <= p:
-                continue
-            result = induce(flow.base, b)
-            count, _ = max_disjoint_edges(result.induced, with_witness=False)
+        # the walk is endless; only the two invariants below stop it
+        for induced in maps:
+            b = induced.base_length
+            if b <= p or induced.m == 1:
+                raise NoEdgeInNeighborhood(n, blocked=blocked)
+            count, _ = max_disjoint_edges(induced, with_witness=False)
             if count < criterion.threshold:
                 continue
-            flow_n = _suspend(flow, b, result)
+            flow_n, _ = induced_suspension(flow, b)
             edge = _pick_admissible_edge(flow_n, blocked)
-            if edge is None:
-                continue
-            box = build_flow_box(flow_n, edge)
-            tau = float(edge.e1 - edge.s)
-            r1 = float(box.strip_height)
-            sigma_budget = float(b) / (2.0 * float(box.total_height))
-            drift = -2.0 * tau / (r1 * sigma_budget)
-            family = TwistFamily(flow_n, box, sigma_max=sigma_budget, drift_rate=drift)
-            step_result = find_closing_parameter(family, tolerance, scale=b)
-            b_prev = b
-            break
-        if step_result is None:
-            raise NoEdgeInNeighborhood(n, blocked=blocked)
-        results.append(step_result)
+            if edge is not None:
+                break
+        flow = flow_n
+        box = build_flow_box(flow, edge)
+        tau = float(edge.e1 - edge.s)
+        r1 = float(box.strip_height)
+        sigma_budget = float(b) / (2.0 * float(box.total_height))
+        drift = -2.0 * tau / (r1 * sigma_budget)
+        family = TwistFamily(flow, box, sigma_max=sigma_budget, drift_rate=drift)
+        results.append(find_closing_parameter(family, tolerance, scale=b))
     return results

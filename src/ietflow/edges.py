@@ -278,20 +278,14 @@ def probe_edge_criterion(
     else:
         resolved, fallback = default_probe_scales(iet, depth)
 
-    entries = list(_scan_scales(iet, criterion.threshold, resolved))
     probes: list[ProbeEntry] = []
-    failed = False
-    for entry in entries:
+    for entry in _scan_scales(iet, criterion.threshold, resolved):
         probes.append(entry)
         if not entry.passed:
-            failed = True
+            verdict = "refuted_at_depth"
             break
-    if failed:
-        verdict = "refuted_at_depth"
-    elif fallback:
-        verdict = "undecided_tie"
     else:
-        verdict = "certified_to_depth"
+        verdict = "undecided_tie" if fallback else "certified_to_depth"
     note = _CERTIFIED_NOTE
     if criterion.clamped:
         note += "; edge quota clamped to 1 (raw chi+k+3 was non-positive)"

@@ -223,6 +223,16 @@ class TestCli:
         assert data["threshold"] == 2
         assert data["verdict"] == "refuted_at_depth"
 
+    def test_probe_stops_at_the_first_failing_scale(self, tmp_path, capsys):
+        # the first scale refutes; a later fallback scale would outrun the
+        # return budget, so probing past the first failure exits 2
+        path = tmp_path / "m4.json"
+        dump_iet(make_iet([F(181, 1000), F(319, 500), F(1, 1000), F(9, 50)], [4, 3, 2, 1]), str(path))
+        assert run(["probe", "--input", str(path), "--depth", "5"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "refuted_at_depth"
+        assert data["probes"] == [{"edge_count": 0, "passed": False, "scale": "41/50"}]
+
     def test_close_identity_base_exit_2(self, tmp_path, capsys):
         flow = SuspensionFlow(make_iet([F(1)], [1]), (F(1),))
         path = tmp_path / "idflow.json"
@@ -298,8 +308,12 @@ def pinned_inputs(tmp_path):
 
 
 class TestPinnedBytes:
-    """Exit code, stdout sha256 and stderr of fixed invocations, generated
-    before the unreachable closing and induction branches were deleted."""
+    """Exit code, stdout sha256 and stderr of fixed invocations.
+
+    The ``close`` rows were re-pinned when closing moved to the Rauzy
+    scales, after every closing of the pool in ``tests/test_closing.py``
+    was re-validated; the m3 flow closes twice and then finds every edge
+    at 77/1000 blocked by the pulled-back singular point 209/7000."""
 
     @pytest.mark.parametrize(
         "argv, code, stdout_sha256, stderr",
@@ -307,20 +321,22 @@ class TestPinnedBytes:
             (
                 ["close", "--flow", "tenth.json", "--point", "0"],
                 0,
-                "c86b15ee719e74320883de2ae52b3c0fe29a3df3797a0ed521badccba31fe54d",
+                "7b9ecf9caa8e5da26b4d4bdbe1c5d4c476738243890641f96f8111515ccd08f4",
                 "",
             ),
             (
                 ["close", "--flow", "tenth.json", "--point", "1/7"],
                 0,
-                "c86b15ee719e74320883de2ae52b3c0fe29a3df3797a0ed521badccba31fe54d",
+                "7b9ecf9caa8e5da26b4d4bdbe1c5d4c476738243890641f96f8111515ccd08f4",
                 "",
             ),
             (
                 ["close", "--flow", "m3.json", "--point", "0"],
                 2,
                 hashlib.sha256(b"").hexdigest(),
-                "NoEdgeInNeighborhood: no admissible virtual edge at shrink step 1\n",
+                "NoEdgeInNeighborhood: no admissible virtual edge at shrink step 3; "
+                "blocked candidates: (VirtualEdge(s=Fraction(7, 500), e1=Fraction(4, 125), "
+                "t=Fraction(1, 20)), Fraction(209, 7000))\n",
             ),
             (
                 ["rauzy", "--input", "m4.json", "--depth", "25", "--cross-check"],

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -26,8 +27,8 @@ from ietflow import (
     make_twist_family,
     twisted_return,
 )
-from ietflow.closing import TwistFamily, induced_suspension
-from ietflow.edges import VirtualEdge, sample_iet
+from ietflow.closing import TwistFamily, _return_maps, induced_suspension
+from ietflow.edges import VirtualEdge, default_probe_scales, sample_iet
 from .test_iet_core import rotation
 
 
@@ -289,6 +290,78 @@ class TestCloseAtPoint:
             close_at_point(tenth_flow(), F(3, 2), ClosingCriterion(-3, 1), 1)
 
 
+def unit_roofs(iet):
+    return SuspensionFlow(iet, tuple(F(1) for _ in range(iet.m)))
+
+
+def probe_scales_down_to(iet, floor):
+    """``default_probe_scales`` at a depth whose last scale is <= floor."""
+    depth = 16
+    while True:
+        scales, _ = default_probe_scales(iet, depth)
+        if scales[-1] <= floor:
+            return scales
+        depth *= 2
+
+
+class TestRauzyScaleClosing:
+    """Closing walks down the probe scales; unit roofs, p = 0."""
+
+    def test_generic_m3_closes_at_three_rauzy_scales(self):
+        flow = unit_roofs(make_iet([F(412, 1000), F(271, 1000), F(317, 1000)], [3, 2, 1]))
+        results = close_at_point(flow, 0, ClosingCriterion(-3, 1), 3)
+        assert [r.scale for r in results] == [F(113, 1000), F(19, 200), F(77, 1000)]
+        for r in results:
+            box = r.family.box
+            assert box.b_bar - box.a_bar == F(9, 500)
+            assert box.strip_height == 10
+
+    def test_rotation_near_the_golden_ratio_closes_twice(self):
+        flow = unit_roofs(rotation(F(381966, 10**6)))
+        results = close_at_point(flow, 0, ClosingCriterion(-3, 1), 2)
+        # with unit roofs the strip height is the return time
+        assert [(r.scale, r.family.box.strip_height) for r in results] == [
+            (F(221, 500000), 2584),
+            (F(7, 500000), 97294),
+        ]
+        with pytest.raises(NoEdgeInNeighborhood) as info:
+            close_at_point(flow, 0, ClosingCriterion(-3, 1), 3)
+        assert info.value.step == 3
+
+    def test_rotation_tenth_closes_six_times_then_meets_the_identity(self):
+        results = close_at_point(tenth_flow(), 0, ClosingCriterion(-3, 1), 6)
+        assert [r.scale for r in results] == [F(k, 10) for k in range(9, 3, -1)]
+        with pytest.raises(NoEdgeInNeighborhood) as info:
+            close_at_point(tenth_flow(), 0, ClosingCriterion(-3, 1), 7)
+        assert info.value.step == 7
+        # the Rauzy states tie at 1/5; halving then gives the identity
+        maps = list(islice(_return_maps(tenth_flow().base), 9))
+        assert maps[:-1] == [rotation(F(1, 10), F(k, 10)) for k in range(9, 1, -1)]
+        assert maps[-1] == identity_iet(F(1, 10))
+
+    def test_walk_stops_at_the_point(self):
+        results = close_at_point(tenth_flow(), F(1, 2), ClosingCriterion(-3, 1), 4)
+        assert [r.scale for r in results] == [F(k, 10) for k in range(9, 5, -1)]
+        with pytest.raises(NoEdgeInNeighborhood) as info:
+            close_at_point(tenth_flow(), F(1, 2), ClosingCriterion(-3, 1), 5)
+        assert info.value.step == 5
+
+    def test_scales_come_from_the_probe_scales(self):
+        rng = random.Random(21)
+        closed = 0
+        for i in range(128):
+            flow = pool_flow(rng, i)
+            p = F(rng.randint(0, 300), 1000)
+            try:
+                results = close_at_point(flow, p, ClosingCriterion(-3, 1), 3)
+            except IetError:
+                continue
+            closed += 1
+            scales = set(probe_scales_down_to(flow.base, results[-1].scale))
+            assert all(r.scale in scales and r.scale > p for r in results)
+        assert closed >= 32
+
+
 def flight_oracle(flow, b, x, max_flights=10_000):
     """Brute-force first return to [0, b) of the suspension flow from x:
     follows the orbit with ``Iet.evaluate`` and sums ``roof_at`` until it
@@ -422,6 +495,9 @@ class TestSuspensionWalk:
                 assert chained.roof_at(x) == direct.roof_at(x) == flight_oracle(flow, b2, x)[0]
 
     def test_close_at_point_outcomes_pinned(self):
+        # every closing is re-validated before the outcomes are compared:
+        # the edge on the induced base, the twisted return onto the vertex,
+        # and the chained roofs against flights of the original flow
         rng = random.Random(20)
         rows = []
         for i in range(512):
@@ -431,6 +507,13 @@ class TestSuspensionWalk:
             except IetError as exc:
                 rows.append(type(exc).__name__)
                 continue
+            for r in results:
+                box, induced = r.family.box, r.family.flow
+                VirtualEdge(box.a_bar, box.b_bar, box.c_bar).validate(induced.base)
+                position, _ = twisted_return(r.family, r.sigma1, float(box.b_bar))
+                assert abs(position - float(box.b_bar)) <= 1e-9
+                for x in induced.partition[:-1]:
+                    assert induced.roof_at(x) == flight_oracle(flow, r.scale, x)[0]
             rows.append(
                 "closed "
                 + " ".join(
@@ -439,6 +522,6 @@ class TestSuspensionWalk:
                 )
             )
         counts = Counter(row.split()[0] for row in rows)
-        assert counts == {"closed": 103, "NoEdgeInNeighborhood": 402, "ReturnTimeExceeded": 7}
+        assert counts == {"closed": 259, "NoEdgeInNeighborhood": 252, "ReturnTimeExceeded": 1}
         digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-        assert digest == "4b4b4facf8089f40f3e9d07b9e36d0a9397eefeb16e0b9411a067a303bc49121"
+        assert digest == "04abc307f58c5a9dfe5a1d8dfbf76ab98d1753e424485c535481eeecaa679edb"
