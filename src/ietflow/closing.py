@@ -24,11 +24,13 @@ Box geometry stays exact rational.  The closing parameter has a closed
 form, evaluated in floating point without any search; the float twisted
 kernel re-validates it by forward integration.
 
-Closing walks down the probe scales of ``default_probe_scales`` (the
-Rauzy states, then halved bases past a tie) and stops on exact invariants:
-a scale <= p or an identity return map.  A first-return suspension is
-built only at a scale whose return map meets the edge quota, from the
-previous closing's suspension, walking return orbits on integer numerators.
+Closing walks down the probe scales of ``probe_walk`` (the Rauzy states,
+then halved bases past a tie) and stops on exact invariants: a scale <= p
+or an identity return map.  Along the Rauzy states it also stops where a
+return outgrows the budget ``induce`` would give that scale.  A
+first-return suspension is built only at a scale whose return map meets
+the edge quota, from the previous closing's suspension, walking return
+orbits on integer numerators.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from .errors import (
     LeftBoxUndefined,
     NoClosingInRange,
     NoEdgeInNeighborhood,
-    ReduciblePermutation,
+    ReturnTimeExceeded,
     SingularityInBox,
-    TieEncountered,
 )
 from .edges import (
     DEFAULT_WITNESS_GAP,
@@ -54,9 +55,10 @@ from .edges import (
     VirtualEdge,
     find_virtual_edges,
     max_disjoint_edges,
+    probe_walk,
 )
 from .iet import Iet, RationalLike, as_rational
-from .induction import InducedResult, induce, rauzy_step
+from .induction import InducedResult, default_return_budget, induce
 
 SINGULAR_SNAP = 1e-12
 
@@ -433,24 +435,61 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> tuple[Suspensio
     ), result
 
 
-def _return_maps(iet: Iet) -> Iterator[Iet]:
-    """First-return maps of ``iet`` at the scales of
-    ``default_probe_scales``, lazily and without end.
+def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
+    """First-return maps of ``base`` at the scales of ``probe_walk`` above
+    p, lazily, ending after an identity map: every smaller return map of
+    an identity is the identity too.
 
-    The Rauzy states come first: each is the first-return map to its own
-    base (see ``check_induction_consistency``), so none is induced.  Past
-    a tie the base is halved, and each map is induced from the previous
-    one.
+    A Rauzy state is taken as it is; past a tie each map is induced from
+    the previous one.  Along the Rauzy states the return time of every
+    point is kept on integer numerators: a Rauzy step adds the return time
+    of the cut-off tail to the points that land in it.  A state whose
+    longest return passes ``default_return_budget(base, scale)``, the
+    budget ``induce`` gives that scale, raises ReturnTimeExceeded, so a
+    long run of small steps (a rotation by 1/N shrinks the base by 1/N a
+    step) ends the walk.
     """
-    current = iet
-    try:
-        while True:
-            current, _ = rauzy_step(current)
+    denom = math.lcm(*(x.denominator for x in base.breakpoints))
+    # cells of constant return time and translation, on integer numerators
+    starts = [x.numerator * (denom // x.denominator) for x in base.breakpoints[:-1]]
+    times = [1] * len(starts)
+    shifts = [t.numerator * (denom // t.denominator) for t in base.translations]
+    top = base.base_length.numerator * (denom // base.base_length.denominator)
+    budget = 0
+    current = base
+    for b, state in probe_walk(base):
+        if b <= p:
+            return
+        if state is None:
+            current = induce(current, b).induced
             yield current
-    except (TieEncountered, ReduciblePermutation):
-        pass
-    while True:
-        current = induce(current, current.base_length / 2).induced
+            if current.m == 1:
+                return
+            continue
+        ends = (*starts[1:], top)
+        top = b.numerator * (denom // b.denominator)
+        cells = []
+        for lo, hi, r, t in zip(starts, ends, times, shifts):
+            if lo >= top:
+                break
+            hi = min(hi, top)
+            # points from x on land in the cut-off tail [top, ...) and
+            # return on the next step
+            x = max(top - t, lo)
+            if lo < x:
+                cells.append((lo, r, t))
+            while x < hi:
+                j = bisect.bisect_right(starts, x + t) - 1
+                cells.append((x, r + times[j], t + shifts[j]))
+                x = min(hi, ends[j] - t)
+        starts, times, shifts = zip(*cells)
+        # the budget grows as the scale shrinks, so it is re-read only
+        # when a return passes the last one read
+        if max(times) > budget:
+            budget = default_return_budget(base, b)
+            if max(times) > budget:
+                raise ReturnTimeExceeded(budget, scale=b)
+        current = state
         yield current
 
 
@@ -494,7 +533,9 @@ def close_at_point(
     admissible edge; its twist budget is proportional to the neighborhood
     width, so successive closing parameters shrink with the neighborhoods.
     Raises NoEdgeInNeighborhood(n) once the walk reaches a scale <= p or an
-    identity return map, below which every return map is the identity.
+    identity return map, below which every return map is the identity, and
+    ReturnTimeExceeded at a Rauzy state whose return outgrows the budget
+    (see ``_return_maps``).
     """
     p = as_rational(p)
     if not 0 <= p < flow.base.base_length:
@@ -503,21 +544,23 @@ def close_at_point(
         raise ValueError("shrink_steps must be >= 1")
 
     results: list[ClosingResult] = []
-    maps = _return_maps(flow.base)
+    maps = _return_maps(flow.base, p)
     for n in range(1, shrink_steps + 1):
         blocked: list = []
-        # the walk is endless; only the two invariants below stop it
         for induced in maps:
             b = induced.base_length
-            if b <= p or induced.m == 1:
-                raise NoEdgeInNeighborhood(n, blocked=blocked)
             count, _ = max_disjoint_edges(induced, with_witness=False)
             if count < criterion.threshold:
                 continue
+            # this induces flow.base to b once more: the suspension needs
+            # the return orbits over the previous step's base, which the
+            # walk's map of the original base does not carry
             flow_n, _ = induced_suspension(flow, b)
             edge = _pick_admissible_edge(flow_n, blocked)
             if edge is not None:
                 break
+        else:
+            raise NoEdgeInNeighborhood(n, blocked=blocked)
         flow = flow_n
         box = build_flow_box(flow, edge)
         tau = float(edge.e1 - edge.s)

@@ -22,10 +22,11 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
-from .errors import ReduciblePermutation, ReturnTimeExceeded
+from .errors import ReduciblePermutation, ReturnTimeExceeded, TieEncountered
 from .iet import Iet, RationalLike, as_rational, make_iet
-from .induction import induce, is_irreducible, rauzy_orbit
+from .induction import induce, is_irreducible, rauzy_step
 
 DEFAULT_WITNESS_GAP = Fraction(1, 10**6)
 
@@ -215,23 +216,34 @@ _CERTIFIED_NOTE = (
 )
 
 
-def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
-    """Rauzy scales, extended by halving once induction ties out.
+def probe_walk(iet: Iet) -> Iterator[tuple[Fraction, Iet | None]]:
+    """The probe scales of ``iet``, lazily and without end, each with its
+    Rauzy state.
 
-    Returns the scales and whether the fallback was needed.
+    First the base lengths of the Rauzy states, each state being the
+    first-return map to its own base (see ``check_induction_consistency``).
+    Once induction ties out, or is undefined, the last scale is halved
+    again and again; those scales come with None, their return maps being
+    left to the caller.
     """
-    scales: list[Fraction] = []
+    current = iet
     try:
-        orbit = rauzy_orbit(iet, depth)
-        scales = list(orbit.scales)
-    except ReduciblePermutation:
+        while True:
+            current, _ = rauzy_step(current)
+            yield current.base_length, current
+    except (TieEncountered, ReduciblePermutation):
         pass
-    fallback = len(scales) < depth
-    last = scales[-1] if scales else iet.base_length
-    while len(scales) < depth:
-        last = last / 2
-        scales.append(last)
-    return scales, fallback
+    b = current.base_length
+    while True:
+        b /= 2
+        yield b, None
+
+
+def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
+    """The first ``depth`` scales of ``probe_walk`` and whether the halving
+    fallback was needed."""
+    walk = list(islice(probe_walk(iet), depth))
+    return [b for b, _ in walk], any(state is None for _, state in walk)
 
 
 def _scan_scales(

@@ -16,6 +16,7 @@ from ietflow import (
     LeftBoxUndefined,
     NoClosingInRange,
     NoEdgeInNeighborhood,
+    ReturnTimeExceeded,
     SingularityInBox,
     SuspensionFlow,
     build_flow_box,
@@ -28,7 +29,8 @@ from ietflow import (
     twisted_return,
 )
 from ietflow.closing import TwistFamily, _return_maps, induced_suspension
-from ietflow.edges import VirtualEdge, default_probe_scales, sample_iet
+from ietflow.edges import VirtualEdge, probe_walk, sample_iet
+from ietflow.induction import induce
 from .test_iet_core import rotation
 
 
@@ -294,16 +296,6 @@ def unit_roofs(iet):
     return SuspensionFlow(iet, tuple(F(1) for _ in range(iet.m)))
 
 
-def probe_scales_down_to(iet, floor):
-    """``default_probe_scales`` at a depth whose last scale is <= floor."""
-    depth = 16
-    while True:
-        scales, _ = default_probe_scales(iet, depth)
-        if scales[-1] <= floor:
-            return scales
-        depth *= 2
-
-
 class TestRauzyScaleClosing:
     """Closing walks down the probe scales; unit roofs, p = 0."""
 
@@ -335,7 +327,7 @@ class TestRauzyScaleClosing:
             close_at_point(tenth_flow(), 0, ClosingCriterion(-3, 1), 7)
         assert info.value.step == 7
         # the Rauzy states tie at 1/5; halving then gives the identity
-        maps = list(islice(_return_maps(tenth_flow().base), 9))
+        maps = list(islice(_return_maps(tenth_flow().base, 0), 9))
         assert maps[:-1] == [rotation(F(1, 10), F(k, 10)) for k in range(9, 1, -1)]
         assert maps[-1] == identity_iet(F(1, 10))
 
@@ -346,20 +338,41 @@ class TestRauzyScaleClosing:
             close_at_point(tenth_flow(), F(1, 2), ClosingCriterion(-3, 1), 5)
         assert info.value.step == 5
 
-    def test_scales_come_from_the_probe_scales(self):
-        rng = random.Random(21)
-        closed = 0
-        for i in range(128):
-            flow = pool_flow(rng, i)
-            p = F(rng.randint(0, 300), 1000)
-            try:
-                results = close_at_point(flow, p, ClosingCriterion(-3, 1), 3)
-            except IetError:
-                continue
-            closed += 1
-            scales = set(probe_scales_down_to(flow.base, results[-1].scale))
-            assert all(r.scale in scales and r.scale > p for r in results)
-        assert closed >= 32
+    def test_slow_rotation_ends_on_the_return_budget(self):
+        # each Rauzy state shrinks the base by 1/10**9 and lengthens the
+        # return by one step, and no state carries an edge; the walk stops
+        # once the return passes the budget induce would give that scale
+        flow = unit_roofs(make_iet([F(1, 10**9), 1 - F(1, 10**9)], [2, 1]))
+        # checked on a bounded prefix of the walk first, so that a walk
+        # without the budget fails here instead of running for hours
+        with pytest.raises(ReturnTimeExceeded):
+            list(islice(_return_maps(flow.base, 0), 41))
+        with pytest.raises(ReturnTimeExceeded) as info:
+            close_at_point(flow, 0, ClosingCriterion(-3, 1), 3)
+        assert info.value.max_steps == 40
+        assert info.value.scale == 1 - F(40, 10**9)
+        # a scale <= p ends the walk before its return time is weighed
+        with pytest.raises(NoEdgeInNeighborhood):
+            close_at_point(flow, 1 - F(40, 10**9), ClosingCriterion(-3, 1), 1)
+
+    def test_walk_raises_where_induce_exceeds_the_budget(self):
+        rng = random.Random(5)
+        raised = 0
+        for i in range(240):
+            iet, _ = sample_iet(rng, 2 + i % 4, 1000 if i % 3 else 60)
+            maps = _return_maps(iet, 0)
+            for b, state in islice(probe_walk(iet), 40):
+                if state is None:
+                    break
+                try:
+                    induce(iet, b)
+                except ReturnTimeExceeded:
+                    with pytest.raises(ReturnTimeExceeded):
+                        next(maps)
+                    raised += 1
+                    break
+                assert next(maps) == state
+        assert raised >= 3
 
 
 def flight_oracle(flow, b, x, max_flights=10_000):
@@ -522,6 +535,6 @@ class TestSuspensionWalk:
                 )
             )
         counts = Counter(row.split()[0] for row in rows)
-        assert counts == {"closed": 259, "NoEdgeInNeighborhood": 252, "ReturnTimeExceeded": 1}
+        assert counts == {"closed": 259, "NoEdgeInNeighborhood": 246, "ReturnTimeExceeded": 7}
         digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
-        assert digest == "04abc307f58c5a9dfe5a1d8dfbf76ab98d1753e424485c535481eeecaa679edb"
+        assert digest == "053976f3b45350c01e6be93112f3981ca81287f0de6964b8982f98141bc7979d"
