@@ -29,8 +29,9 @@ then halved bases past a tie) and stops on exact invariants: a scale <= p
 or an identity return map.  Along the Rauzy states it also stops where a
 return outgrows the budget ``induce`` would give that scale.  A
 first-return suspension is built only at a scale whose return map meets
-the edge quota, from the previous closing's suspension, walking return
-orbits on integer numerators.
+the edge quota, from the previous closing's suspension.  Both the return
+times along the walk and the suspension's roofs come from the integer
+kernel ``first_returns``, with return times or roofs as its weights.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .edges import (
     probe_walk,
 )
 from .iet import Iet, RationalLike, as_rational
-from .induction import InducedResult, default_return_budget, induce
+from .induction import default_return_budget, first_returns, induce, induction_base, return_map
 
 SINGULAR_SNAP = 1e-12
 
@@ -367,72 +368,39 @@ def find_closing_parameter(
 # -- shrinking-neighborhood closing pipeline ---------------------------------
 
 
-def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> tuple[SuspensionFlow, InducedResult]:
+def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
     """First-return suspension over [0, b): accumulated roofs and the
     pulled-back singular set.
 
     The roof over a point is the total flight time of its return orbit; a
     point is singular for the induced flow when its orbit meets a singular
-    point of the parent before returning.
-
-    Walks the return orbit of each piece on integer numerators over one
-    denominator.  A piece is a list of cells, each with its own offset and
-    accumulated roof; a cell splits where its orbit segment [lo + off,
-    hi + off) straddles a cut of the parent's partition, so every cell of
-    the output partition has one roof and one orbit.  A segment straddles
-    a breakpoint of the parent only where ``induce`` merged neighbouring
-    pieces whose orbits part on the way and return with one translation.
+    point of the parent before returning.  One ``first_returns`` run over
+    the flow's partition, weighted by the roofs on integer numerators,
+    gives both: its pieces split wherever an orbit crosses a cut of the
+    partition, so each cell of the output partition has one roof.
     """
-    b = as_rational(b)
-    result = induce(flow.base, b)
     base = flow.base
+    b = induction_base(base, b)
     part = flow.partition
     # translations share the breakpoints' denominator, which the partition
     # refines, so every cut, shift and singular point lives on 1/denom
     denom = math.lcm(b.denominator, *(x.denominator for x in (*part, *flow.singular_points)))
     cuts = [x.numerator * (denom // x.denominator) for x in part]
-    shifts = []
-    for x in part[:-1]:
-        tau = base.translations[bisect.bisect_right(base.breakpoints, x) - 1]
-        shifts.append(tau.numerator * (denom // tau.denominator))
+    taus = [base.translations[bisect.bisect_right(base.breakpoints, x) - 1] for x in part[:-1]]
+    shifts = [t.numerator * (denom // t.denominator) for t in taus]
     sing = [q.numerator * (denom // q.denominator) for q in flow.singular_points]
     rden = math.lcm(*(r.denominator for r in flow.roof))
     rnums = [r.numerator * (rden // r.denominator) for r in flow.roof]
-
-    starts: list[int] = []
-    roofs: list[int] = []
-    pulled: set[int] = set()
-    for (lo, hi), k in zip(result.pieces, result.return_times):
-        end = hi.numerator * (denom // hi.denominator)
-        # (left end, offset, roof) of each cell, in the piece's coordinates
-        cells = [(lo.numerator * (denom // lo.denominator), 0, 0)]
-        for _ in range(k):
-            moved = []
-            for i, (x, off, acc) in enumerate(cells):
-                s = x + off
-                e = (cells[i + 1][0] if i + 1 < len(cells) else end) + off
-                j = bisect.bisect_left(sing, s)
-                while j < len(sing) and sing[j] < e:
-                    pulled.add(sing[j] - off)
-                    j += 1
-                c = bisect.bisect_right(cuts, s) - 1
-                while True:
-                    moved.append((s - off, off + shifts[c], acc + rnums[c]))
-                    c += 1
-                    s = cuts[c]
-                    if s >= e:
-                        break
-            cells = moved
-        for x, _, acc in cells:
-            starts.append(x)
-            roofs.append(acc)
+    top = b.numerator * (denom // b.denominator)
+    budget = default_return_budget(base, b)
+    pieces, pulled = first_returns(cuts, shifts, rnums, sing, top, budget, b)
     return SuspensionFlow(
-        base=result.induced,
-        roof=tuple(Fraction(r, rden) for r in roofs),
+        base=return_map(pieces, denom),
+        roof=tuple(Fraction(piece[4], rden) for piece in pieces),
         singular_points=tuple(Fraction(q, denom) for q in sorted(pulled)),
         K=flow.K,
-        partition=tuple(Fraction(x, denom) for x in starts) + (b,),
-    ), result
+        partition=tuple(Fraction(piece[0], denom) for piece in pieces) + (b,),
+    )
 
 
 def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
@@ -442,19 +410,19 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
 
     A Rauzy state is taken as it is; past a tie each map is induced from
     the previous one.  Along the Rauzy states the return time of every
-    point is kept on integer numerators: a Rauzy step adds the return time
-    of the cut-off tail to the points that land in it.  A state whose
-    longest return passes ``default_return_budget(base, scale)``, the
-    budget ``induce`` gives that scale, raises ReturnTimeExceeded, so a
-    long run of small steps (a rotation by 1/N shrinks the base by 1/N a
-    step) ends the walk.
+    point is kept on integer numerators, as cells of constant return time
+    and translation: a Rauzy step is the first return of the previous
+    state to the new base, which every point reaches within two steps, so
+    ``first_returns`` with the return times as weights gives the new
+    cells.  A state whose longest return passes
+    ``default_return_budget(base, scale)``, the budget ``induce`` gives
+    that scale, raises ReturnTimeExceeded, so a long run of small steps (a
+    rotation by 1/N shrinks the base by 1/N a step) ends the walk.
     """
     denom = math.lcm(*(x.denominator for x in base.breakpoints))
-    # cells of constant return time and translation, on integer numerators
-    starts = [x.numerator * (denom // x.denominator) for x in base.breakpoints[:-1]]
-    times = [1] * len(starts)
+    cuts = [x.numerator * (denom // x.denominator) for x in base.breakpoints]
     shifts = [t.numerator * (denom // t.denominator) for t in base.translations]
-    top = base.base_length.numerator * (denom // base.base_length.denominator)
+    times = [1] * base.m
     budget = 0
     current = base
     for b, state in probe_walk(base):
@@ -466,23 +434,10 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
             if current.m == 1:
                 return
             continue
-        ends = (*starts[1:], top)
         top = b.numerator * (denom // b.denominator)
-        cells = []
-        for lo, hi, r, t in zip(starts, ends, times, shifts):
-            if lo >= top:
-                break
-            hi = min(hi, top)
-            # points from x on land in the cut-off tail [top, ...) and
-            # return on the next step
-            x = max(top - t, lo)
-            if lo < x:
-                cells.append((lo, r, t))
-            while x < hi:
-                j = bisect.bisect_right(starts, x + t) - 1
-                cells.append((x, r + times[j], t + shifts[j]))
-                x = min(hi, ends[j] - t)
-        starts, times, shifts = zip(*cells)
+        pieces, _ = first_returns(cuts, shifts, times, [], top, 2, b)
+        cuts, _, shifts, _, times = zip(*pieces)
+        cuts += (top,)
         # the budget grows as the scale shrinks, so it is re-read only
         # when a return passes the last one read
         if max(times) > budget:
@@ -552,10 +507,7 @@ def close_at_point(
             count, _ = max_disjoint_edges(induced, with_witness=False)
             if count < criterion.threshold:
                 continue
-            # this induces flow.base to b once more: the suspension needs
-            # the return orbits over the previous step's base, which the
-            # walk's map of the original base does not carry
-            flow_n, _ = induced_suspension(flow, b)
+            flow_n = induced_suspension(flow, b)
             edge = _pick_admissible_edge(flow_n, blocked)
             if edge is not None:
                 break

@@ -22,7 +22,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, tee
 
 from .errors import ReduciblePermutation, ReturnTimeExceeded, TieEncountered
 from .iet import Iet, RationalLike, as_rational, make_iet
@@ -273,7 +273,8 @@ def probe_edge_criterion(
     a tie.  The verdict is conjunctive over the probed scales: any failing
     scale refutes at this depth (probing stops there); a clean sweep is
     certified_to_depth, downgraded to undecided_tie when the fallback was
-    needed.
+    needed.  ``used_fallback_scales`` says whether a probed scale was a
+    fallback scale.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -286,12 +287,17 @@ def probe_edge_criterion(
                 raise ValueError("scales must be strictly decreasing")
         if resolved[0] > iet.base_length or resolved[-1] <= 0:
             raise ValueError("scales must lie in (0, base]")
-        fallback = False
+        walk = ((b, iet) for b in resolved)
     else:
-        resolved, fallback = default_probe_scales(iet, depth)
+        walk = islice(probe_walk(iet), depth)
 
+    # the walk advances with the scan: no Rauzy step past the first failure
+    walk, scan = tee(walk)
+    entries = _scan_scales(iet, criterion.threshold, (b for b, _ in scan))
     probes: list[ProbeEntry] = []
-    for entry in _scan_scales(iet, criterion.threshold, resolved):
+    fallback = False
+    for (_, state), entry in zip(walk, entries):
+        fallback = fallback or state is None
         probes.append(entry)
         if not entry.passed:
             verdict = "refuted_at_depth"

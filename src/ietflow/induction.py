@@ -7,11 +7,17 @@ Two independent routes to the same renormalization are kept side by side:
 * ``rauzy_step`` performs one combinatorial Rauzy-Veech move on the
   (lengths, permutation) data directly.
 
-``check_induction_consistency`` cross-validates the two: after n Rauzy
-steps the unnormalized state must equal the first-return map to [0, a_n),
-where a_n is the surviving base length.  Both sides are compared as
-canonical maps, so removable breakpoints created by an induction cut are
-merged consistently on both routes.
+The propagation itself is ``first_returns``, on integer numerators: it
+pushes [0, b) forward over a partition into cells until every piece
+re-enters, summing an integer weight per cell along each orbit.
+``induce`` gives it zero weights; the first-return suspension and the
+closing walk weigh roofs and return times with it.
+
+``check_induction_consistency`` cross-validates the two routes: after n
+Rauzy steps the unnormalized state must equal the first-return map to
+[0, a_n), where a_n is the surviving base length.  Both sides are
+compared as canonical maps, so removable breakpoints created by an
+induction cut are merged consistently on both routes.
 """
 
 from __future__ import annotations
@@ -62,17 +68,87 @@ def default_return_budget(parent: Iet, b: Fraction) -> int:
     return 10 * (parent.m + int(parent.base_length / b) + 1)
 
 
-def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> InducedResult:
-    """First-return map of ``parent`` to [0, b) by exact interval propagation.
-
-    Pushes the partition of [0, b) forward, splitting at discontinuities of
-    the parent and at the boundary b, until every piece has re-entered.
-    Raises ReturnTimeExceeded when a piece fails to return within the
-    budget (b chosen pathologically small).
-    """
+def induction_base(parent: Iet, b: RationalLike) -> Fraction:
+    """``b`` as a Fraction, checked to lie in (0, base length]."""
     b = as_rational(b)
     if b <= 0 or b > parent.base_length:
         raise ValueError(f"induction base {b} outside (0, {parent.base_length}]")
+    return b
+
+
+def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, scale: Fraction):
+    """First returns to [0, top) of the map moving each cell [cuts[i],
+    cuts[i + 1]) by shifts[i], on integer numerators.
+
+    Returns the pieces (lo, hi, offset, steps, weight), sorted and tiling
+    [0, top), where ``weight`` sums weights[i] over the cells an orbit
+    crosses before it returns, and the points of [0, top) whose orbit
+    meets one of the sorted ``singulars`` on the way, the start included.
+    Raises ReturnTimeExceeded(max_steps, scale) past ``max_steps`` steps.
+    """
+    done: list[tuple[int, int, int, int, int]] = []
+    pulled: set[int] = set()
+    work = deque([(0, top, 0, 0, 0)])
+    while work:
+        lo, hi, off, steps, weight = work.popleft()
+        if steps >= max_steps:
+            raise ReturnTimeExceeded(max_steps, scale=scale)
+        steps += 1
+        cur_lo, cur_hi = lo + off, hi + off
+        if singulars:  # skips the lookup where nothing is pulled back, as in ``induce``
+            i, j = bisect.bisect_left(singulars, cur_lo), bisect.bisect_left(singulars, cur_hi)
+            pulled.update(q - off for q in singulars[i:j])
+        piece = bisect.bisect_right(cuts, cur_lo) - 1
+        u = cur_lo
+        while u < cur_hi:
+            v = min(cuts[piece + 1], cur_hi)
+            tau = shifts[piece]
+            noff = off + tau
+            nweight = weight + weights[piece]
+            olo, ohi = u - off, v - off
+            if v + tau <= top:
+                done.append((olo, ohi, noff, steps, nweight))
+            elif u + tau >= top:
+                work.append((olo, ohi, noff, steps, nweight))
+            else:
+                mid = top - noff
+                done.append((olo, mid, noff, steps, nweight))
+                work.append((mid, ohi, noff, steps, nweight))
+            u = v
+            piece += 1
+
+    done.sort()
+    # pieces must tile [0, top) exactly
+    cursor = 0
+    for lo, hi, _, _, _ in done:
+        if lo != cursor:
+            gap = scale * Fraction(cursor, top)
+            raise NotInduced(f"gap at {gap} while assembling the return map")
+        cursor = hi
+    if cursor != top:
+        raise NotInduced(f"return pieces stop at {scale * Fraction(cursor, top)}, expected {scale}")
+    return done, pulled
+
+
+def return_map(pieces, denom: int) -> Iet:
+    """The canonical exchange moving each piece (lo, hi, offset, ...) of
+    ``first_returns`` by its offset, over the denominator ``denom``."""
+    order = sorted(range(len(pieces)), key=lambda i: pieces[i][0] + pieces[i][2])
+    perm = [0] * len(pieces)
+    for rank, i in enumerate(order, start=1):
+        perm[i] = rank
+    return make_iet([Fraction(p[1] - p[0], denom) for p in pieces], perm)
+
+
+def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> InducedResult:
+    """First-return map of ``parent`` to [0, b) by exact interval propagation.
+
+    Runs ``first_returns`` over the parent's breakpoints, then merges
+    neighbouring pieces that agree on translation and return time.
+    Raises ReturnTimeExceeded when a piece fails to return within the
+    budget (b chosen pathologically small).
+    """
+    b = induction_base(parent, b)
     if max_steps is None:
         max_steps = default_return_budget(parent, b)
     if max_steps <= 0:
@@ -84,67 +160,22 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
     cuts = [x.numerator * (denom // x.denominator) for x in parent.breakpoints]
     shifts = [t.numerator * (denom // t.denominator) for t in parent.translations]
     top = b.numerator * (denom // b.denominator)
+    pieces, _ = first_returns(cuts, shifts, [0] * parent.m, [], top, max_steps, b)
 
-    done: list[tuple[int, int, int, int]] = []
-    work = deque([(0, top, 0, 0)])
-    while work:
-        lo, hi, off, steps = work.popleft()
-        cur_lo = lo + off
-        cur_hi = hi + off
-        if steps > 0 and cur_hi <= top:
-            done.append((lo, hi, off, steps))
-            continue
-        if steps >= max_steps:
-            raise ReturnTimeExceeded(max_steps, scale=b)
-        steps += 1
-        piece = bisect.bisect_right(cuts, cur_lo) - 1
-        u = cur_lo
-        while u < cur_hi:
-            v = min(cuts[piece + 1], cur_hi)
-            tau = shifts[piece]
-            noff = off + tau
-            olo, ohi = u - off, v - off
-            if v + tau <= top:
-                done.append((olo, ohi, noff, steps))
-            elif u + tau >= top:
-                work.append((olo, ohi, noff, steps))
-            else:
-                mid = top - noff
-                done.append((olo, mid, noff, steps))
-                work.append((mid, ohi, noff, steps))
-            u = v
-            piece += 1
-
-    done.sort(key=lambda t: t[0])
-    # pieces must tile [0, b) exactly
-    cursor = 0
-    for lo, hi, _, _ in done:
-        if lo != cursor:
-            raise NotInduced(f"gap at {Fraction(cursor, denom)} while assembling the return map")
-        cursor = hi
-    if cursor != top:
-        raise NotInduced(f"return pieces stop at {Fraction(cursor, denom)}, expected {b}")
-
-    # return-time partition: merge neighbours agreeing on translation and time
+    # return-time partition: merge neighbours agreeing on translation and
+    # time; the canonical map merges on translation alone, so an induction
+    # cut that leaves neighbours continuous as a map yet with distinct
+    # return times makes the pieces genuinely refine the canonical intervals
     merged: list[list[int]] = []
-    for lo, hi, off, steps in done:
-        if merged and merged[-1][2] == off and merged[-1][3] == steps and merged[-1][1] == lo:
+    for lo, hi, off, steps, _ in pieces:
+        if merged and merged[-1][2] == off and merged[-1][3] == steps:
             merged[-1][1] = hi
         else:
             merged.append([lo, hi, off, steps])
-
-    # the canonical map merges on translation alone; an induction cut can
-    # leave neighbours continuous as a map yet with distinct return times,
-    # so the piece partition genuinely refines the canonical intervals
-    order = sorted(range(len(merged)), key=lambda i: merged[i][0] + merged[i][2])
-    perm = [0] * len(merged)
-    for rank, i in enumerate(order, start=1):
-        perm[i] = rank
-    induced = make_iet([Fraction(hi - lo, denom) for lo, hi, _, _ in merged], perm)
     ends = [Fraction(p[0], denom) for p in merged] + [b]
 
     return InducedResult(
-        induced=induced,
+        induced=return_map(merged, denom),
         return_times=tuple(p[3] for p in merged),
         pieces=tuple(zip(ends[:-1], ends[1:])),
         parent_break_hits=tuple(ends[1:-1]),

@@ -3,7 +3,8 @@
 Exchange files carry {"lengths": ["2/3", "1/3"], "permutation": [2, 1]}
 with rationals as decimal-free p/q strings.  Files must be canonical: a
 permutation that would merge on construction is rejected with a
-diagnostic rather than silently repaired.
+diagnostic rather than silently repaired.  Every malformed file, a
+non-positive length or a non-bijective permutation too, raises FormatError.
 
 Suspension flow files carry {"base": <exchange>, "roof": [...],
 "singular_points": [...], "K": <int>}.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .closing import SuspensionFlow
-from .errors import FormatError
+from .errors import FormatError, NonPositiveLength, PermutationNotBijective
 from .iet import Iet, format_rational, make_iet, parse_rational
 
 
@@ -39,7 +40,10 @@ def iet_from_dict(data: dict) -> Iet:
     permutation = data["permutation"]
     if not isinstance(permutation, list) or any(type(p) is not int for p in permutation):
         raise FormatError("permutation entries must be integers")
-    iet = make_iet(lengths, permutation)
+    try:
+        iet = make_iet(lengths, permutation)
+    except (NonPositiveLength, PermutationNotBijective) as exc:
+        raise FormatError(str(exc)) from exc
     if list(iet.permutation) != permutation or list(iet.lengths) != lengths:
         for i in range(1, len(permutation)):
             if permutation[i] == permutation[i - 1] + 1:

@@ -38,6 +38,17 @@ def flow_path(tmp_path):
     return str(path)
 
 
+# exchange data that names no exchange: a repeated rank, a negative or a
+# zero length, no interval at all
+INVALID_EXCHANGES = [
+    (["1/2", "1/2"], [1, 1]),
+    (["-1/2", "3/2"], [2, 1]),
+    (["0", "1"], [2, 1]),
+    ([], []),
+]
+INVALID_IDS = ["repeated-rank", "negative-length", "zero-length", "no-intervals"]
+
+
 class TestWireFormat:
     def test_iet_round_trip(self, tmp_path):
         e = make_iet([F(1, 5), F(3, 10), F(1, 2)], [3, 2, 1])
@@ -57,9 +68,10 @@ class TestWireFormat:
         with pytest.raises(FormatError, match="canonical"):
             iet_from_dict({"lengths": ["1/2", "1/2"], "permutation": [1, 2]})
 
-    def test_rejects_bad_permutation(self):
-        with pytest.raises(Exception):
-            iet_from_dict({"lengths": ["1/2", "1/2"], "permutation": [1, 1]})
+    @pytest.mark.parametrize("lengths, perm", INVALID_EXCHANGES, ids=INVALID_IDS)
+    def test_rejects_bad_permutation(self, lengths, perm):
+        with pytest.raises(FormatError):
+            iet_from_dict({"lengths": lengths, "permutation": perm})
 
     @pytest.mark.parametrize("perm", [[2.0, 1.0], [2.5, 1], ["2", "1"], [True, 2], "21"])
     def test_rejects_non_integer_permutation_entries(self, perm):
@@ -128,6 +140,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: permutation entries must be integers\n"
+
+    @pytest.mark.parametrize("lengths, perm", INVALID_EXCHANGES, ids=INVALID_IDS)
+    def test_invalid_exchange_file_exit_1(self, tmp_path, capsys, lengths, perm):
+        # a file that names no exchange is a usage error, not a domain error
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"lengths": lengths, "permutation": perm}))
+        assert run(["eval", "--input", str(path), "--x", "1/4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ")
+        assert captured.err.count("\n") == 1
 
     def test_string_lengths_file_exit_1(self, tmp_path, capsys):
         # a string is not read character by character as lengths [1, 2]
@@ -232,6 +255,7 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] == "refuted_at_depth"
         assert data["probes"] == [{"edge_count": 0, "passed": False, "scale": "41/50"}]
+        assert data["used_fallback_scales"] is False
 
     def test_close_identity_base_exit_2(self, tmp_path, capsys):
         flow = SuspensionFlow(make_iet([F(1)], [1]), (F(1),))

@@ -216,6 +216,16 @@ class TestProbe:
         assert len(report.probes) == 1
         assert report.used_fallback_scales  # no Rauzy scales exist here
 
+    def test_fallback_flag_covers_only_the_probed_scales(self):
+        # refuted at 17/22, the first Rauzy scale; induction ties out later,
+        # but no fallback scale is probed
+        iet = make_iet([F(5, 22), F(17, 22)], [2, 1])
+        report = probe_edge_criterion(iet, ClosingCriterion(-3, 1), 8)
+        assert report.verdict == "refuted_at_depth"
+        assert [p.scale for p in report.probes] == [F(17, 22)]
+        assert report.used_fallback_scales is False
+        assert default_probe_scales(iet, 8)[1]  # the first 8 scales need the fallback
+
     def test_default_scale_counts_match_recomputation(self):
         rng = random.Random(89)
         for _ in range(5):

@@ -1,5 +1,6 @@
 """First-return maps, Rauzy moves, and their cross-validation."""
 
+import bisect
 import math
 import random
 from fractions import Fraction as F
@@ -20,6 +21,7 @@ from ietflow import (
     rescale,
 )
 from ietflow.edges import default_probe_scales
+from ietflow.induction import first_returns
 from .test_iet_core import random_iet, rotation
 
 
@@ -212,6 +214,75 @@ class TestIntegerPath:
         assert info.value.scale == F(1, 2000)
         assert_lowest_terms([info.value.scale])
         assert "(inducing on [0, 1/2000))" in str(info.value)
+
+
+def follow_cells(iet, cells, weights, singulars, b, lo, hi, cap=100000):
+    """Follow the piece [lo, hi) under ``iet`` with ``Iet.evaluate`` until it
+    re-enters [0, b).  Every image must lie inside one cell, so the whole
+    piece moves by one translation and crosses one cell per step.  Returns
+    the image of lo, the number of steps, the summed cell weights and the
+    points of the piece whose image is a singular point on the way."""
+    x, width, steps, weight, met = lo, hi - lo, 0, 0, set()
+    while True:
+        cell = bisect.bisect_right(cells, x) - 1
+        assert x + width <= cells[cell + 1]
+        weight += weights[cell]
+        met |= {lo + q - x for q in singulars if x <= q < x + width}
+        x = iet.evaluate(x)
+        steps += 1
+        if x < b:
+            assert x + width <= b
+            return x, steps, weight, met
+        assert steps < cap
+
+
+class TestFirstReturns:
+    """``first_returns`` against point-following on cells that refine the
+    breakpoints, with integer weights and singular points."""
+
+    def test_pieces_match_point_following(self):
+        rng = random.Random(31)
+        checked_weights = checked_singulars = 0
+        for i in range(150):
+            iet = random_iet(rng, 2 + i % 4, rng.choice([30, 500]))
+            denom = 2 * math.lcm(*(x.denominator for x in iet.breakpoints))
+            length = iet.base_length * denom  # an integer
+            assert length.denominator == 1
+            top = rng.randint(max(1, int(length) // 8), int(length))
+            extra = rng.sample(range(1, int(length)), min(int(length) - 1, rng.randint(0, 6)))
+            ints = {x.numerator * (denom // x.denominator) for x in iet.breakpoints}
+            ints = sorted(ints | set(extra))
+            cuts = [F(c, denom) for c in ints]
+            shifts = []
+            for c in cuts[:-1]:
+                tau = iet.translations[iet.piece_index(c)]
+                shifts.append(int(tau * denom))
+            weights = [rng.randint(0, 9) for _ in shifts]
+            sing_ints = sorted(rng.sample(range(int(length)), rng.randint(0, 3)))
+            b = F(top, denom)
+            pieces, pulled = first_returns(ints, shifts, weights, sing_ints, top, 10**4, b)
+
+            singulars = [F(q, denom) for q in sing_ints]
+            assert pieces[0][0] == 0 and pieces[-1][1] == top
+            met_all = set()
+            for (lo, hi, off, steps, weight), nxt in zip(pieces, pieces[1:] + [None]):
+                assert nxt is None or nxt[0] == hi
+                piece = F(lo, denom), F(hi, denom)
+                image, k, w, met = follow_cells(iet, cuts, weights, singulars, b, *piece)
+                assert (F(lo + off, denom), steps, weight) == (image, k, w)
+                met_all |= met
+                checked_weights += w > 0
+            assert {F(q, denom) for q in pulled} == met_all
+            checked_singulars += len(met_all)
+        assert checked_weights > 100 and checked_singulars > 50
+
+    def test_budget_names_the_scale(self):
+        # the rotation by 1/10, in tenths: [0, 1/10) returns after ten steps
+        with pytest.raises(ReturnTimeExceeded) as info:
+            first_returns([0, 9, 10], [1, -9], [0, 0], [], 1, 9, F(1, 10))
+        assert (info.value.max_steps, info.value.scale) == (9, F(1, 10))
+        pieces, _ = first_returns([0, 9, 10], [1, -9], [1, 1], [], 1, 10, F(1, 10))
+        assert pieces == [(0, 1, 0, 10, 10)]
 
 
 def euclid_oracle(a, b):
