@@ -386,8 +386,8 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
     # refines, so every cut, shift and singular point lives on 1/denom
     denom = math.lcm(b.denominator, *(x.denominator for x in (*part, *flow.singular_points)))
     cuts = [x.numerator * (denom // x.denominator) for x in part]
-    taus = [base.translations[bisect.bisect_right(base.breakpoints, x) - 1] for x in part[:-1]]
-    shifts = [t.numerator * (denom // t.denominator) for t in taus]
+    pieces = [bisect.bisect_right(base.breakpoints, x) - 1 for x in part[:-1]]
+    shifts = [base.shifts[i] * denom // base.denom for i in pieces]
     sing = [q.numerator * (denom // q.denominator) for q in flow.singular_points]
     rden = math.lcm(*(r.denominator for r in flow.roof))
     rnums = [r.numerator * (rden // r.denominator) for r in flow.roof]
@@ -419,10 +419,7 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
     that scale, raises ReturnTimeExceeded, so a long run of small steps (a
     rotation by 1/N shrinks the base by 1/N a step) ends the walk.
     """
-    denom = math.lcm(*(x.denominator for x in base.breakpoints))
-    cuts = [x.numerator * (denom // x.denominator) for x in base.breakpoints]
-    shifts = [t.numerator * (denom // t.denominator) for t in base.translations]
-    times = [1] * base.m
+    cuts, shifts, times = base.cuts, base.shifts, [1] * base.m
     budget = 0
     current = base
     for b, state in probe_walk(base):
@@ -434,7 +431,7 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
             if current.m == 1:
                 return
             continue
-        top = b.numerator * (denom // b.denominator)
+        top = state.cuts[-1]  # Rauzy states keep the lattice of ``base``
         pieces, _ = first_returns(cuts, shifts, times, [], top, 2, b)
         cuts, _, shifts, _, times = zip(*pieces)
         cuts += (top,)

@@ -22,7 +22,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, tee
+from itertools import islice
 
 from .errors import ReduciblePermutation, ReturnTimeExceeded, TieEncountered
 from .iet import Iet, RationalLike, as_rational, make_iet
@@ -125,12 +125,12 @@ def max_disjoint_edges(
     witnesses: list[VirtualEdge] = []
     if not with_witness:
         # the family of subinterval i has width L - 2*tau and edge length
-        # 2*tau; over the denominator q*s of L = p/q and tau = r/s
-        for length, tau in zip(iet.lengths, iet.translations):
-            p, q = length.numerator, length.denominator
-            r, s = tau.numerator, tau.denominator
-            if r > 0 and p * s > 2 * r * q:
-                total += _packing_count(p * s - 2 * r * q, 2 * r * q)
+        # 2*tau, read on the exchange's integer lattice
+        cuts = iet.cuts
+        for i, tau in enumerate(iet.shifts):
+            width = cuts[i + 1] - cuts[i] - 2 * tau
+            if tau > 0 and width > 0:
+                total += _packing_count(width, 2 * tau)
         return total, witnesses
     for fam in find_virtual_edges(iet):
         k = fam.max_disjoint()
@@ -246,19 +246,18 @@ def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
     return [b for b, _ in walk], any(state is None for _, state in walk)
 
 
-def _scan_scales(
-    iet: Iet, threshold: int, scales: list[Fraction]
-) -> Iterator[ProbeEntry]:
-    """Edge counts of the first-return maps at each scale, one per scale.
+def _probe_entries(iet: Iet, threshold: int, walk) -> Iterator[tuple[ProbeEntry, bool]]:
+    """Edge counts of the first-return maps at each scale of ``walk``, one
+    per scale, lazily, each with whether it was a fallback scale.
 
     Consecutive inductions are chained: the return map to a smaller base
     factors through the return map to any larger one.
     """
     current = iet
-    for b in scales:
+    for b, state in walk:
         current = induce(current, b).induced
         count, _ = max_disjoint_edges(current, with_witness=False)
-        yield ProbeEntry(b, count, count >= threshold)
+        yield ProbeEntry(b, count, count >= threshold), state is None
 
 
 def probe_edge_criterion(
@@ -292,12 +291,10 @@ def probe_edge_criterion(
         walk = islice(probe_walk(iet), depth)
 
     # the walk advances with the scan: no Rauzy step past the first failure
-    walk, scan = tee(walk)
-    entries = _scan_scales(iet, criterion.threshold, (b for b, _ in scan))
     probes: list[ProbeEntry] = []
     fallback = False
-    for (_, state), entry in zip(walk, entries):
-        fallback = fallback or state is None
+    for entry, at_fallback in _probe_entries(iet, criterion.threshold, walk):
+        fallback = fallback or at_fallback
         probes.append(entry)
         if not entry.passed:
             verdict = "refuted_at_depth"
@@ -400,11 +397,12 @@ def _probe_sample(args) -> tuple[int, int, int | None, bool]:
     """Worker body: per-scale pass data for one sampled exchange."""
     lengths, perm, threshold, depth = args
     iet = make_iet(lengths, perm)
-    scales, fallback = default_probe_scales(iet, depth)
     entries = []
+    fallback = False
     try:
-        for entry in _scan_scales(iet, threshold, scales):
+        for entry, at_fallback in _probe_entries(iet, threshold, islice(probe_walk(iet), depth)):
             entries.append(entry)
+            fallback = fallback or at_fallback
     except ReturnTimeExceeded:
         # a post-tie fallback scale outran the return budget; the scales
         # actually probed still count, the rest stay unknown

@@ -28,13 +28,10 @@ class FormatError(IetError):
 class ReturnTimeExceeded(IetError):
     """First-return computation exceeded its step budget."""
 
-    def __init__(self, max_steps, scale=None):
+    def __init__(self, max_steps, scale):
         self.max_steps = max_steps
         self.scale = scale
-        msg = f"no return within {max_steps} steps"
-        if scale is not None:
-            msg += f" (inducing on [0, {scale}))"
-        super().__init__(msg)
+        super().__init__(f"no return within {max_steps} steps (inducing on [0, {scale}))")
 
 
 class NotInduced(IetError):
@@ -57,9 +54,9 @@ class ReduciblePermutation(IetError):
 class SingularityInBox(IetError):
     """A declared singular point lies on the candidate flow box."""
 
-    def __init__(self, point, message=None):
+    def __init__(self, point):
         self.point = point
-        super().__init__(message or f"singular point {point} blocks the flow box")
+        super().__init__(f"singular point {point} blocks the flow box")
 
 
 class LeftBoxUndefined(IetError):
@@ -78,10 +75,10 @@ class NoClosingInRange(IetError):
 class NoEdgeInNeighborhood(IetError):
     """No admissible virtual orthogonal edge exists at a shrink step."""
 
-    def __init__(self, step, blocked=(), message=None):
+    def __init__(self, step, blocked=()):
         self.step = step
         self.blocked = tuple(blocked)
-        msg = message or f"no admissible virtual edge at shrink step {step}"
+        msg = f"no admissible virtual edge at shrink step {step}"
         if self.blocked:
             msg += "; blocked candidates: " + ", ".join(str(b) for b in self.blocked)
         super().__init__(msg)

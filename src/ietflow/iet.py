@@ -2,15 +2,16 @@
 
 An interval exchange transformation (iet) is a bijection of a half-open
 interval that translates each of finitely many subintervals.  It is stored
-as a length vector together with the permutation that reorders the
-subintervals, everything in exact rational arithmetic.  Construction
-canonicalizes: adjacent subintervals whose images stay adjacent are merged,
-so the stored breakpoints are exactly the discontinuities of the map.
+on one integer lattice: a common denominator, the cuts (the breakpoints
+times it) and the shifts (the translations times it).  Every exchange, from
+lengths and a permutation or from a kernel's pieces, goes through one core,
+``Iet.from_lattice``: it merges neighbours with equal shift, whose images
+abut, so the stored breakpoints are exactly the discontinuities of the
+map; it ranks the image starts into the permutation; and it checks that
+the images tile the base.
 
-Every public value is a ``Fraction`` in lowest terms.  Construction (and,
-in the sibling modules, ``induce`` and the edge count) computes on integer
-numerators over one common denominator instead: sums and differences of
-lengths stay on that lattice, and each ``Fraction`` is built once.
+Every public value is a ``Fraction`` in lowest terms, built once from the
+lattice.  Rauzy moves, first returns and the edge count read the lattice.
 
 Permutations are 1-indexed: ``permutation[i]`` is the rank of the image of
 the (i+1)-th subinterval among all image subintervals, counted from the
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import FormatError, NonPositiveLength, OutOfDomain, PermutationNotBijective
+from .errors import FormatError, NonPositiveLength, NotInduced, OutOfDomain, PermutationNotBijective
 
 RationalLike = Fraction | int | str
 
@@ -56,37 +57,21 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _canonical(lengths: list[Fraction], perm: list[int]) -> tuple[list[Fraction], list[int]]:
-    """Merge adjacent subintervals whose images are also adjacent.
-
-    The map is continuous across the common endpoint of subintervals i and
-    i+1 exactly when perm[i+1] == perm[i] + 1, in which case both carry the
-    same translation and the stored breakpoint is fake.
-    """
-    ls = list(lengths)
-    pm = list(perm)
-    i = 1
-    while i < len(pm):
-        if pm[i] == pm[i - 1] + 1:
-            removed = pm[i]
-            ls[i - 1] += ls[i]
-            del ls[i]
-            del pm[i]
-            pm = [v - 1 if v > removed else v for v in pm]
-            i = max(1, i - 1)
-        else:
-            i += 1
-    return ls, pm
-
-
 class Iet:
     """An interval exchange transformation in canonical form.
+
+    Besides the public ``Fraction`` values, an exchange keeps its integer
+    lattice: ``denom`` is a common denominator (not necessarily the least
+    one), ``cuts`` are the breakpoints times ``denom`` and ``shifts[i]`` is
+    the translation of subinterval i times ``denom``.  Kernel code reads
+    these instead of re-deriving them from the ``Fraction``s.
 
     Values are immutable after construction and safe to share between
     concurrent workers.
     """
 
     __slots__ = ("lengths", "permutation", "base_length", "breakpoints", "translations")
+    __slots__ += ("denom", "cuts", "shifts")  # the integer lattice
 
     def __init__(self, lengths: Sequence[RationalLike], permutation: Sequence[int]):
         ls = [as_rational(x) for x in lengths]
@@ -103,29 +88,55 @@ class Iet:
             raise PermutationNotBijective(
                 f"permutation {pm} is not a bijection of 1..{len(ls)}"
             )
-        ls, pm = _canonical(ls, pm)
-
-        # prefix sums and translations as numerators over the common
-        # denominator, turned into Fractions once at the end
         denom = math.lcm(*(x.denominator for x in ls))
-        nums = [x.numerator * (denom // x.denominator) for x in ls]
-        breaks = [0]
-        for n in nums:
-            breaks.append(breaks[-1] + n)
-        # image_start[i] = total length of intervals whose image sits left of i's
-        starts = [0] * len(nums)
+        cuts = [0]
+        for x in ls:
+            cuts.append(cuts[-1] + x.numerator * (denom // x.denominator))
+        # the image of i starts after the intervals whose image sits left of i's
+        shifts = [0] * len(ls)
         acc = 0
-        for i in sorted(range(len(nums)), key=pm.__getitem__):
-            starts[i] = acc
-            acc += nums[i]
+        for i in sorted(range(len(ls)), key=pm.__getitem__):
+            shifts[i] = acc - cuts[i]
+            acc += cuts[i + 1] - cuts[i]
+        self._set_lattice(denom, cuts, shifts)
 
-        object.__setattr__(self, "lengths", tuple(ls))
-        object.__setattr__(self, "permutation", tuple(pm))
-        object.__setattr__(self, "base_length", Fraction(acc, denom))
-        object.__setattr__(self, "breakpoints", tuple(Fraction(a, denom) for a in breaks))
-        object.__setattr__(
-            self, "translations", tuple(Fraction(s - a, denom) for s, a in zip(starts, breaks))
-        )
+    @classmethod
+    def from_lattice(cls, denom: int, cuts: Sequence[int], shifts: Sequence[int]) -> Iet:
+        """The canonical exchange moving [cuts[i], cuts[i + 1]) by shifts[i],
+        over ``denom``; neighbours with equal shift merge.  Raises NotInduced
+        unless the cuts increase from 0 and the images tile [0, cuts[-1])."""
+        iet = object.__new__(cls)
+        iet._set_lattice(denom, cuts, shifts)
+        return iet
+
+    def _set_lattice(self, denom: int, cuts: Sequence[int], shifts: Sequence[int]) -> None:
+        if cuts[0] != 0 or any(lo >= hi for lo, hi in zip(cuts, cuts[1:])):
+            raise NotInduced(f"cuts {list(cuts)} over {denom} do not increase from 0")
+        # neighbours with equal shift have abutting images, so the
+        # breakpoint between them is removable
+        keep = [i for i in range(1, len(shifts)) if shifts[i] != shifts[i - 1]]
+        cuts = (0, *(cuts[i] for i in keep), cuts[-1])
+        shifts = (shifts[0], *(shifts[i] for i in keep))
+        # rank the image starts; the images must tile [0, base)
+        starts = [c + s for c, s in zip(cuts, shifts)]
+        perm = [0] * len(shifts)
+        end = 0
+        for rank, i in enumerate(sorted(range(len(shifts)), key=starts.__getitem__), start=1):
+            if starts[i] != end:
+                where = "overlap" if starts[i] < end else "leave a gap"
+                raise NotInduced(f"images {where} at {Fraction(min(starts[i], end), denom)}")
+            end = cuts[i + 1] + shifts[i]
+            perm[i] = rank
+
+        lengths = tuple(Fraction(hi - lo, denom) for lo, hi in zip(cuts, cuts[1:]))
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "permutation", tuple(perm))
+        object.__setattr__(self, "base_length", Fraction(end, denom))
+        object.__setattr__(self, "breakpoints", tuple(Fraction(c, denom) for c in cuts))
+        object.__setattr__(self, "translations", tuple(Fraction(s, denom) for s in shifts))
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "shifts", shifts)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Iet values are immutable")
@@ -166,12 +177,10 @@ class Iet:
     __call__ = evaluate
 
     def invert(self) -> Iet:
-        """The inverse exchange (reorder the lengths by image rank)."""
-        m = self.m
-        inv = [0] * m
-        for i, rank in enumerate(self.permutation):
-            inv[rank - 1] = i + 1
-        return Iet([self.lengths[j - 1] for j in inv], inv)
+        """The inverse exchange: each image moved back by its translation."""
+        order = sorted(range(self.m), key=self.permutation.__getitem__)
+        cuts = [self.cuts[i] + self.shifts[i] for i in order] + [self.cuts[-1]]
+        return Iet.from_lattice(self.denom, cuts, [-self.shifts[i] for i in order])
 
     def iterate(self, x: RationalLike, n: int) -> Fraction:
         """n-th forward (or backward, for n < 0) image of x."""

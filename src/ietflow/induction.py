@@ -4,8 +4,9 @@ Two independent routes to the same renormalization are kept side by side:
 
 * ``induce`` computes the first-return map of an exchange to a left
   subinterval [0, b) by exact interval propagation, and
-* ``rauzy_step`` performs one combinatorial Rauzy-Veech move on the
-  (lengths, permutation) data directly.
+* ``rauzy_step`` performs one Rauzy-Veech move on the translations,
+  without any propagation: the points that leave the shortened base come
+  back through the last interval, so its translation is added to theirs.
 
 The propagation itself is ``first_returns``, on integer numerators: it
 pushes [0, b) forward over a partition into cells until every piece
@@ -133,11 +134,7 @@ def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, sc
 def return_map(pieces, denom: int) -> Iet:
     """The canonical exchange moving each piece (lo, hi, offset, ...) of
     ``first_returns`` by its offset, over the denominator ``denom``."""
-    order = sorted(range(len(pieces)), key=lambda i: pieces[i][0] + pieces[i][2])
-    perm = [0] * len(pieces)
-    for rank, i in enumerate(order, start=1):
-        perm[i] = rank
-    return make_iet([Fraction(p[1] - p[0], denom) for p in pieces], perm)
+    return Iet.from_lattice(denom, [p[0] for p in pieces] + [pieces[-1][1]], [p[2] for p in pieces])
 
 
 def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> InducedResult:
@@ -154,11 +151,12 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
 
-    # every cut, offset and piece end below is an integer multiple of
-    # 1/denom, so the propagation runs on the numerators alone
-    denom = math.lcm(b.denominator, *(x.denominator for x in parent.breakpoints))
-    cuts = [x.numerator * (denom // x.denominator) for x in parent.breakpoints]
-    shifts = [t.numerator * (denom // t.denominator) for t in parent.translations]
+    # lift the parent's lattice to b's denominator: every cut, offset and
+    # piece end below is an integer multiple of 1/denom
+    denom = math.lcm(b.denominator, parent.denom)
+    lift = denom // parent.denom
+    cuts = [c * lift for c in parent.cuts]
+    shifts = [t * lift for t in parent.shifts]
     top = b.numerator * (denom // b.denominator)
     pieces, _ = first_returns(cuts, shifts, [0] * parent.m, [], top, max_steps, b)
 
@@ -205,46 +203,35 @@ def rauzy_step(iet: Iet) -> tuple[Iet, str]:
     Compares the last subinterval of the domain against the subinterval
     whose image is last, shortens the longer one, and returns the induced
     exchange on the shortened base together with the step type ("top" when
-    the domain-last interval was longer, "bottom" otherwise).  Equal
+    the domain-last interval was longer, "bottom" otherwise).  The move
+    adds the last interval's translation to part of the other comparand's,
+    on the integer lattice of ``iet``, which the result keeps.  Equal
     comparands raise TieEncountered; rational data always tie eventually.
     """
     m = iet.m
     if m < 2 or not is_irreducible(iet.permutation):
         raise ReduciblePermutation(f"Rauzy step undefined for {iet!r}")
-    pm = list(iet.permutation)
-    ls = list(iet.lengths)
-    beta = pm.index(m)  # 0-based position whose image is rightmost
-    l_top = ls[m - 1]
-    l_bot = ls[beta]
+    cuts, shifts = list(iet.cuts), list(iet.shifts)
+    beta = iet.permutation.index(m)  # the interval whose image is rightmost
+    l_top = cuts[m] - cuts[m - 1]
+    l_bot = cuts[beta + 1] - cuts[beta]
     if l_top == l_bot:
-        raise TieEncountered(f"comparand lengths both equal {l_top}")
+        raise TieEncountered(f"comparand lengths both equal {Fraction(l_top, iet.denom)}")
 
     if l_top > l_bot:
-        # image of interval beta is cut off and re-enters after the image
-        # of the last domain interval
-        anchor = pm[m - 1]
-        new_ls = ls[:]
-        new_ls[m - 1] = l_top - l_bot
-        new_pm = [0] * m
-        for i in range(m):
-            if i == beta:
-                continue
-            v = pm[i]
-            new_pm[i] = v if v <= anchor else v + 1
-        new_pm[beta] = anchor + 1
-        return make_iet(new_ls, new_pm), "top"
-
-    # bottom move: the last domain interval is cut off; interval beta splits
-    # and its right part takes over the removed interval's image slot
-    new_ls = ls[:beta] + [l_bot - l_top, l_top] + ls[beta + 1 : m - 1]
-    new_pm = [0] * m
-    for i in range(m - 1):
-        if i == beta:
-            continue
-        new_pm[i if i < beta else i + 1] = pm[i]
-    new_pm[beta] = m
-    new_pm[beta + 1] = pm[m - 1]
-    return make_iet(new_ls, new_pm), "bottom"
+        # the image of beta leaves the base and lands in the last interval,
+        # which carries it back: the base loses l_bot, beta gains its shift
+        cuts[m] -= l_bot
+        shifts[beta] += shifts[m - 1]
+        kind = "top"
+    else:
+        # the last interval leaves the base; beta splits where its image
+        # enters that interval, and the right part gains the last shift
+        split = cuts[m - 1] - shifts[beta]
+        cuts = cuts[: beta + 1] + [split] + cuts[beta + 1 : m]
+        shifts = shifts[: beta + 1] + [shifts[beta] + shifts[m - 1]] + shifts[beta + 1 : m - 1]
+        kind = "bottom"
+    return Iet.from_lattice(iet.denom, cuts, shifts), kind
 
 
 @dataclass(frozen=True)
@@ -318,7 +305,7 @@ class ConsistencyReport:
 def check_induction_consistency(iet: Iet, depth: int) -> ConsistencyReport:
     """Cross-validate Rauzy moves against first-return maps.
 
-    For each n reached before a tie, the n-step Rauzy state (combinatorial
+    For each n reached before a tie, the n-step Rauzy state (Rauzy-move
     route) is compared with the first-return map of the original exchange
     to [0, a_n) (interval-propagation route).  Both have base length a_n,
     so they are compared unnormalized, and equality is exact.

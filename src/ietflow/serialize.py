@@ -44,14 +44,12 @@ def iet_from_dict(data: dict) -> Iet:
         iet = make_iet(lengths, permutation)
     except (NonPositiveLength, PermutationNotBijective) as exc:
         raise FormatError(str(exc)) from exc
-    if list(iet.permutation) != permutation or list(iet.lengths) != lengths:
-        for i in range(1, len(permutation)):
-            if permutation[i] == permutation[i - 1] + 1:
-                raise FormatError(
-                    f"permutation is not canonical: intervals {i} and {i + 1} "
-                    "have adjacent images and would merge"
-                )
-        raise FormatError("exchange data is not canonical")
+    for i in range(1, len(permutation)):
+        if permutation[i] == permutation[i - 1] + 1:
+            raise FormatError(
+                f"permutation is not canonical: intervals {i} and {i + 1} "
+                "have adjacent images and would merge"
+            )
     return iet
 
 

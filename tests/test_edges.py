@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -19,9 +20,10 @@ from ietflow import (
 )
 from ietflow.edges import (
     VirtualEdge,
+    _probe_entries,
     _probe_sample,
-    _scan_scales,
     default_probe_scales,
+    probe_walk,
     sample_uniform_iet,
 )
 from ietflow.errors import ReturnTimeExceeded
@@ -308,7 +310,7 @@ class TestMeasure:
         scales, fallback = default_probe_scales(iet, 20)
         assert fallback and scales[19] == F(111, 500)
         with pytest.raises(ReturnTimeExceeded):
-            list(_scan_scales(iet, 1, scales))
+            list(_probe_entries(iet, 1, islice(probe_walk(iet), 20)))
         assert _probe_sample((iet.lengths, iet.permutation, 1, 20)) == (19, 19, 1, True)
 
     def test_benchmark_configuration_is_pinned(self):
