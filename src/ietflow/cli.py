@@ -35,7 +35,8 @@ from .serialize import iet_to_dict, load_flow, load_iet
 IET_SCHEMA = 'exchange JSON: {"lengths": ["2/3", "1/3"], "permutation": [2, 1]}'
 FLOW_SCHEMA = (
     'flow JSON: {"base": <exchange>, "roof": ["1", "1"], '
-    '"singular_points": ["1/4"], "K": 1}'
+    '"singular_points": ["1/4"], "K": 1}; an optional "partition" lists the '
+    "roof cells' cuts when they refine the exchange's breakpoints"
 )
 
 
@@ -49,9 +50,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(opts: argparse.Namespace, payload: dict) -> None:
-    seed = getattr(opts, "seed", None)
-    if seed is not None:
-        payload["seed"] = seed
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if opts.output:
         with open(opts.output, "w", encoding="utf-8") as handle:
@@ -214,6 +212,7 @@ def _cmd_measure(opts: argparse.Namespace) -> int:
                 for name, (frac, lo, hi) in sorted(report.fractions.items())
             },
             "reducible_draws": report.reducible_draws,
+            "seed": report.seed,
         },
     )
     return 0
@@ -282,7 +281,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate an exchange at a point")
     p.add_argument("--input", required=True, help="exchange JSON file")
     p.add_argument("--x", required=True, help="point, as p/q")
-    p.add_argument("--output")
 
     p = sub.add_parser("induce", help="first-return map to [0, b)")
     p.add_argument("--input", required=True)

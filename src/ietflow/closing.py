@@ -93,9 +93,9 @@ class SuspensionFlow:
             raise ValueError("need one roof value per partition cell")
         if any(r <= 0 for r in roof):
             raise ValueError("roof values must be strictly positive")
-        if part[0] != 0 or part[-1] != self.base.base_length or list(part) != sorted(part):
-            raise ValueError("partition must increase from 0 to the base length")
         cells = set(part)
+        if part[0] != 0 or part[-1] != self.base.base_length or list(part) != sorted(cells):
+            raise ValueError("partition must increase from 0 to the base length")
         if not set(self.base.breakpoints) <= cells:
             raise ValueError("partition must refine the base breakpoints")
         if any(q < 0 or q >= self.base.base_length for q in sing):
@@ -108,16 +108,6 @@ class SuspensionFlow:
         if x < 0 or x >= self.base.base_length:
             raise ValueError(f"{x} outside the base interval")
         return self.roof[bisect.bisect_right(self.partition, x) - 1]
-
-    def float_tables(self):
-        """Float copies of the geometry for the twisted kernel."""
-        return (
-            [float(p) for p in self.base.breakpoints],
-            [float(t) for t in self.base.translations],
-            [float(p) for p in self.partition],
-            [float(r) for r in self.roof],
-            [float(q) for q in self.singular_points],
-        )
 
 
 @dataclass(frozen=True)
@@ -135,10 +125,6 @@ class FlowBox:
     orthogonal_edge: tuple[Fraction, Fraction]
     tangent_edge: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...]
     total_height: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.c_bar - self.a_bar
 
     @property
     def strip_height(self) -> Fraction:
@@ -196,21 +182,18 @@ class TwistFamily:
             raise ValueError("drift_rate must be finite")
 
 
-def default_sigma_max(box: FlowBox) -> float:
-    """Twist budget width / (2 * height) from the box dimensions."""
-    return float(box.width) / (2.0 * float(box.total_height))
-
-
 def make_twist_family(
     flow: SuspensionFlow,
     box: FlowBox,
     drift_rate: float = -4.0,
     sigma_max: float | None = None,
 ) -> TwistFamily:
-    """Twist family with the default budget; rate -4 puts the closing
-    parameter at half the budget for any box."""
+    """Twist family with the default budget (c_bar - a_bar) / (2 *
+    total_height).  At rate -4 the closing parameter is (r1 + r2) / (4 * r1)
+    of that budget, r1 and r2 being the roofs of the two flights: half of it
+    when they are equal, past it (NoClosingInRange) when r2 > 3 * r1."""
     if sigma_max is None:
-        sigma_max = default_sigma_max(box)
+        sigma_max = float(box.c_bar - box.a_bar) / (2.0 * float(box.total_height))
     return TwistFamily(flow, box, sigma_max, drift_rate)
 
 
@@ -237,8 +220,9 @@ def twisted_return(family: TwistFamily, t: float, x: float) -> tuple[float, floa
     """
     if not 0 <= t <= family.sigma_max:
         raise ValueError(f"twist {t} outside [0, {family.sigma_max}]")
-    breaks, trans, part, roofs, singulars = family.flow.float_tables()
-    if not breaks[0] <= x < breaks[-1]:
+    flow = family.flow
+    singulars = [float(q) for q in flow.singular_points]
+    if not 0.0 <= x < float(flow.base.breakpoints[-1]):
         raise ValueError(f"{x} outside the base interval")
     if _near_singular(x, singulars):
         raise LeftBoxUndefined(f"orbit starts in the singular gap at {x}")
@@ -259,10 +243,10 @@ def twisted_return(family: TwistFamily, t: float, x: float) -> tuple[float, floa
         position = x_top + tau
         time = r1
     else:
-        cell = bisect.bisect_right(part, x) - 1
-        piece = bisect.bisect_right(breaks, x) - 1
-        position = x + trans[piece]
-        time = roofs[cell]
+        cell = bisect.bisect_right([float(p) for p in flow.partition], x) - 1
+        piece = bisect.bisect_right([float(p) for p in flow.base.breakpoints], x) - 1
+        position = x + float(flow.base.translations[piece])
+        time = float(flow.roof[cell])
 
     if _near_singular(position, singulars):
         raise LeftBoxUndefined(f"twisted orbit exits into the singular gap at {position}")

@@ -108,18 +108,14 @@ def find_virtual_edges(iet: Iet) -> list[EdgeFamily]:
     return families
 
 
-def max_disjoint_edges(
-    iet: Iet,
-    gap: Fraction = DEFAULT_WITNESS_GAP,
-    with_witness: bool = True,
-) -> tuple[int, list[VirtualEdge]]:
+def max_disjoint_edges(iet: Iet, with_witness: bool = True) -> tuple[int, list[VirtualEdge]]:
     """Maximum cardinality of a pairwise-disjoint edge family plus one witness.
 
     Edges from distinct subintervals are disjoint automatically, so the
     count is the sum over families.  Within a family the witness packs
-    edges left to right separated by a strict gap (``gap``, shrunk if the
-    family slack requires it); interval scheduling by right endpoint over
-    the family description realizes the same count.
+    edges left to right separated by a strict gap (``DEFAULT_WITNESS_GAP``,
+    shrunk if the family slack requires it); interval scheduling by right
+    endpoint over the family description realizes the same count.
     """
     total = 0
     witnesses: list[VirtualEdge] = []
@@ -137,7 +133,7 @@ def max_disjoint_edges(
         total += k
         width = fam.s_sup - fam.s_min
         slack = width - (k - 1) * fam.edge_length
-        step_gap = min(gap, slack / (k + 1))
+        step_gap = min(DEFAULT_WITNESS_GAP, slack / (k + 1))
         for j in range(k):
             s = fam.s_min + j * (fam.edge_length + step_gap)
             witnesses.append(fam.edge_at(s))
@@ -337,9 +333,7 @@ class MeasureReport:
 
 
 def wald_interval(successes: int, n: int) -> tuple[float, float, float]:
-    """95% normal-approximation confidence interval for a fraction."""
-    if n == 0:
-        return 0.0, 0.0, 0.0
+    """95% normal-approximation confidence interval for a fraction, n >= 1."""
     p = successes / n
     half = 1.96 * math.sqrt(max(p * (1 - p), 0.0) / n)
     return p, max(0.0, p - half), min(1.0, p + half)
@@ -393,10 +387,9 @@ def sample_iet(rng: random.Random, m: int, resolution: int) -> tuple[Iet, int]:
     return make_iet(lengths, perm), rejected
 
 
-def _probe_sample(args) -> tuple[int, int, int | None, bool]:
-    """Worker body: per-scale pass data for one sampled exchange."""
-    lengths, perm, threshold, depth = args
-    iet = make_iet(lengths, perm)
+def _probe_sample(job) -> SampleOutcome:
+    """Worker body: the visit-based outcome of one sampled exchange."""
+    index, iet, threshold, depth = job
     entries = []
     fallback = False
     try:
@@ -408,8 +401,15 @@ def _probe_sample(args) -> tuple[int, int, int | None, bool]:
         # actually probed still count, the rest stay unknown
         fallback = True
     passed = [e.passed for e in entries]
-    first = passed.index(True) + 1 if any(passed) else None
-    return len(entries), sum(passed), first, fallback
+    if any(passed):
+        verdict = "certified_to_depth"
+        first = passed.index(True) + 1
+    else:
+        verdict = "undecided_tie" if fallback else "refuted_at_depth"
+        first = None
+    return SampleOutcome(
+        index, iet.lengths, iet.permutation, verdict, len(entries), sum(passed), first, fallback
+    )
 
 
 def estimate_full_measure(
@@ -434,37 +434,27 @@ def estimate_full_measure(
         raise ValueError("m must be >= 2")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     rng = random.Random(seed)
-    drawn = []
+    jobs = []
     reducible_draws = 0
-    for _ in range(samples):
+    for index in range(samples):
         iet, rejected = sample_uniform_iet(rng, m, resolution)
         reducible_draws += rejected
-        drawn.append(iet)
+        jobs.append((index, iet, criterion.threshold, depth))
 
-    jobs = [(iet.lengths, iet.permutation, criterion.threshold, depth) for iet in drawn]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_probe_sample, jobs, chunksize=8))
+            outcomes = tuple(pool.map(_probe_sample, jobs, chunksize=8))
     else:
-        raw = [_probe_sample(job) for job in jobs]
+        outcomes = tuple(map(_probe_sample, jobs))
 
-    outcomes = []
     counts = {"certified_to_depth": 0, "refuted_at_depth": 0, "undecided_tie": 0}
-    for idx, (iet, (probed, passed, first, tie)) in enumerate(zip(drawn, raw)):
-        if passed > 0:
-            verdict = "certified_to_depth"
-        elif tie:
-            verdict = "undecided_tie"
-        else:
-            verdict = "refuted_at_depth"
-        counts[verdict] += 1
-        outcomes.append(
-            SampleOutcome(idx, iet.lengths, iet.permutation, verdict, probed, passed, first, tie)
-        )
-
+    for outcome in outcomes:
+        counts[outcome.verdict] += 1
     fractions = {name: wald_interval(count, samples) for name, count in counts.items()}
     return MeasureReport(
         m=m,
@@ -476,5 +466,5 @@ def estimate_full_measure(
         counts=counts,
         fractions=fractions,
         reducible_draws=reducible_draws,
-        per_sample=tuple(outcomes),
+        per_sample=outcomes,
     )

@@ -67,7 +67,7 @@ class Iet:
     these instead of re-deriving them from the ``Fraction``s.
 
     Values are immutable after construction and safe to share between
-    concurrent workers.
+    concurrent workers; they pickle as their lattice.
     """
 
     __slots__ = ("lengths", "permutation", "base_length", "breakpoints", "translations")
@@ -140,6 +140,10 @@ class Iet:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Iet values are immutable")
+
+    def __reduce__(self):
+        # pickled as its lattice, so unpickling goes through the checking core
+        return (Iet.from_lattice, (self.denom, self.cuts, self.shifts))
 
     @property
     def m(self) -> int:

@@ -65,7 +65,7 @@ class InducedResult:
 
 
 def default_return_budget(parent: Iet, b: Fraction) -> int:
-    """Step budget heuristic: 10 * (m + base/b)."""
+    """Step budget heuristic: 10 * (m + floor(base/b) + 1)."""
     return 10 * (parent.m + int(parent.base_length / b) + 1)
 
 

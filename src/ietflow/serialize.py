@@ -7,7 +7,8 @@ diagnostic rather than silently repaired.  Every malformed file, a
 non-positive length or a non-bijective permutation too, raises FormatError.
 
 Suspension flow files carry {"base": <exchange>, "roof": [...],
-"singular_points": [...], "K": <int>}.
+"singular_points": [...], "K": <int>}, and "partition": [...] when the roof
+cells refine the base breakpoints (first-return flows).
 """
 
 from __future__ import annotations
@@ -65,12 +66,15 @@ def dump_iet(iet: Iet, path: str) -> None:
 
 
 def flow_to_dict(flow: SuspensionFlow) -> dict:
-    return {
+    data = {
         "base": iet_to_dict(flow.base),
         "roof": [format_rational(r) for r in flow.roof],
         "singular_points": [format_rational(q) for q in flow.singular_points],
         "K": flow.K,
     }
+    if flow.partition != flow.base.breakpoints:
+        data["partition"] = [format_rational(p) for p in flow.partition]
+    return data
 
 
 def flow_from_dict(data: dict) -> SuspensionFlow:
@@ -79,11 +83,12 @@ def flow_from_dict(data: dict) -> SuspensionFlow:
     base = iet_from_dict(data["base"])
     roof = _rational_list(data, "roof")
     singulars = _rational_list(data, "singular_points", [])
+    partition = _rational_list(data, "partition") if "partition" in data else None
     k = data.get("K", len(singulars))
     if type(k) is not int:
         raise FormatError("'K' must be an integer")
     try:
-        return SuspensionFlow(base, tuple(roof), tuple(singulars), k)
+        return SuspensionFlow(base, tuple(roof), tuple(singulars), k, partition)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

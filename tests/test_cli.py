@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,8 +11,10 @@ from fractions import Fraction as F
 import pytest
 
 import ietflow
-from ietflow import FormatError, SuspensionFlow, make_iet
+from ietflow import FormatError, IetError, SuspensionFlow, make_iet
 from ietflow.cli import run
+from ietflow.closing import induced_suspension
+from ietflow.edges import sample_iet
 from ietflow.serialize import (
     dump_iet,
     flow_from_dict,
@@ -93,6 +96,7 @@ class TestWireFormat:
             ("K", 2.7, "'K' must be an integer"),
             ("K", True, "'K' must be an integer"),
             ("K", "1", "'K' must be an integer"),
+            ("partition", "0", "'partition' must be a list"),
         ],
     )
     def test_rejects_mistyped_flow_fields(self, field, value, message):
@@ -108,6 +112,25 @@ class TestWireFormat:
         assert again.roof == flow.roof
         assert again.singular_points == flow.singular_points
         assert again.K == 1
+        assert "partition" not in flow_to_dict(flow)
+
+    def test_first_return_flows_round_trip(self):
+        # induced suspensions carry roofs per return-time cell, which can
+        # refine the base breakpoints; the file must keep that partition
+        rng = random.Random(3)
+        refined = 0
+        for n in range(200):
+            iet, _ = sample_iet(rng, 3 + n % 2, 1000)
+            roof = tuple(F(rng.randint(1, 5)) for _ in range(iet.m))
+            flow = SuspensionFlow(iet, roof, (iet.base_length * F(rng.randrange(97), 97),))
+            try:
+                flow = induced_suspension(flow, iet.base_length * F(rng.randint(30, 90), 100))
+            except IetError:
+                continue
+            data = json.loads(json.dumps(flow_to_dict(flow)))
+            assert flow_from_dict(data) == flow
+            refined += "partition" in data
+        assert refined > 20
 
 
 class TestCli:
@@ -179,6 +202,48 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"usage error: {message}\n"
 
+    def test_repeated_partition_cut_in_flow_file_exit_1(self, tmp_path, capsys):
+        data = flow_to_dict(SuspensionFlow(rotation(F(1, 10)), (F(1), F(1))))
+        data["partition"] = ["0", "1/2", "1/2", "9/10", "1"]
+        data["roof"] = ["1"] * 4
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run(["close", "--flow", str(path), "--point", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: partition must increase from 0 to the base length\n"
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_measure_depth_below_one_exit_1(self, capsys, depth):
+        argv = ["measure", "--m", "3", "--samples", "5", "--seed", "1", "--depth", depth]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: depth must be >= 1\n"
+
+    def test_measure_worker_pool_bytes(self, tmp_path):
+        # the worker count comes from the environment and never changes
+        # the report; a count that is not an integer is a usage error
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ietflow.__file__)))
+        env.pop("IETFLOW_WORKERS", None)
+        argv = [sys.executable, "-m", "ietflow", "measure", "--m", "3", "--samples", "40"]
+        argv += ["--seed", "5", "--depth", "6", "--resolution", "1000", "--csv"]
+        runs = []
+        for workers in (None, "2", "two"):
+            if workers is not None:
+                env["IETFLOW_WORKERS"] = workers
+            csv_path = tmp_path / f"{workers}.csv"
+            done = subprocess.run(
+                argv + [str(csv_path)], env=env, capture_output=True, timeout=120
+            )
+            runs.append((done, csv_path))
+        (seq, seq_csv), (par, par_csv), (bad, _) = runs
+        assert seq.returncode == par.returncode == 0, (seq.stderr, par.stderr)
+        assert seq.stdout == par.stdout and json.loads(seq.stdout)["samples"] == 40
+        assert seq_csv.read_bytes() == par_csv.read_bytes()
+        assert bad.returncode == 1 and bad.stdout == b""
+        assert bad.stderr.startswith(b"usage error: ")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -186,6 +251,7 @@ class TestCli:
             ["measure", "--m", "2", "--samples", "5", "--seed", "1", "--singularities", "1"],
             ["close", "--flow", "{flow}", "--point", "0", "--singularities", "1"],
             ["close", "--flow", "{flow}", "--point", "0", "--tolerance", "1e-9"],
+            ["eval", "--input", "{rot13}", "--x", "1/2", "--output", "x.out"],
         ],
     )
     def test_removed_flags_are_usage_errors(self, rot13_path, flow_path, capsys, argv):

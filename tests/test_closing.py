@@ -104,6 +104,12 @@ class TestSuspensionFlow:
         with pytest.raises(ValueError):
             SuspensionFlow(rotation(F(1, 10)), (F(1), F(0)))
 
+    def test_repeated_partition_cut_rejected(self):
+        # a repeated cut would be a zero-width cell with a roof of its own
+        part = (F(0), F(1, 2), F(1, 2), F(9, 10), F(1))
+        with pytest.raises(ValueError, match="partition must increase"):
+            SuspensionFlow(rotation(F(1, 10)), (F(1),) * 4, partition=part)
+
 
 class TestTwistedReturn:
     def test_zero_twist_matches_exact_map(self):
@@ -236,6 +242,21 @@ class TestFindClosingParameter:
         assert family.sigma_max == 0.05
         with pytest.raises(NoClosingInRange):
             find_closing_parameter(family, 1e-9)
+
+    @pytest.mark.parametrize("r2", [1, 2, 5])
+    def test_default_rate_against_the_default_budget(self, r2):
+        # at rate -4, sigma1 is (r1 + r2) / (4 * r1) of the default budget:
+        # past it once the second flight's roof exceeds three times the first
+        part = (F(0), F(1, 10), F(9, 10), F(1))
+        flow = SuspensionFlow(rotation(F(1, 10)), (F(1), F(r2), F(1)), partition=part)
+        family = make_twist_family(flow, tenth_box(flow))
+        assert family.sigma_max == pytest.approx(0.2 / (2 * (1 + r2)))
+        if r2 == 5:
+            with pytest.raises(NoClosingInRange, match="exceeds sigma_max"):
+                find_closing_parameter(family, 1e-9)
+        else:
+            res = find_closing_parameter(family, 1e-9)
+            assert res.sigma1 / family.sigma_max == pytest.approx((1 + r2) / 4)
 
     def test_zero_sigma_max(self):
         flow = tenth_flow()

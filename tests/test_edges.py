@@ -19,6 +19,7 @@ from ietflow import (
     probe_edge_criterion,
 )
 from ietflow.edges import (
+    DEFAULT_WITNESS_GAP,
     VirtualEdge,
     _probe_entries,
     _probe_sample,
@@ -143,10 +144,10 @@ class TestMaxDisjointEdges:
             assert max_disjoint_edges(e, with_witness=False)[0] == 0
 
     def test_witness_respects_gap(self):
-        count, witness = max_disjoint_edges(rotation(F(1, 10)), gap=F(1, 100))
+        count, witness = max_disjoint_edges(rotation(F(1, 10)))
         assert count == len(witness) == 4
         for a, b in zip(witness[:-1], witness[1:]):
-            assert b.s - a.t <= F(1, 100)
+            assert b.s - a.t <= DEFAULT_WITNESS_GAP
 
 
 class TestRotationBand:
@@ -311,7 +312,15 @@ class TestMeasure:
         assert fallback and scales[19] == F(111, 500)
         with pytest.raises(ReturnTimeExceeded):
             list(_probe_entries(iet, 1, islice(probe_walk(iet), 20)))
-        assert _probe_sample((iet.lengths, iet.permutation, 1, 20)) == (19, 19, 1, True)
+        outcome = _probe_sample((0, iet, 1, 20))
+        assert (outcome.scales_probed, outcome.scales_passed) == (19, 19)
+        assert (outcome.first_pass_index, outcome.tie) == (1, True)
+        assert outcome.verdict == "certified_to_depth"
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            estimate_full_measure(3, ClosingCriterion(-3, 1), depth=depth, samples=5, seed=1)
 
     def test_benchmark_configuration_is_pinned(self):
         # the benchmark's measure configuration; values recorded before the

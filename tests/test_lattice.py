@@ -6,12 +6,22 @@ Rauzy move that renumbers the permutation.  The core must agree with them
 exactly.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from ietflow import Iet, NotInduced, ReduciblePermutation, TieEncountered, make_iet, rauzy_step
+from ietflow import (
+    Iet,
+    NotInduced,
+    ReduciblePermutation,
+    TieEncountered,
+    induce,
+    make_iet,
+    rauzy_step,
+)
 from ietflow.induction import is_irreducible
 
 
@@ -168,6 +178,30 @@ class TestRauzyOnTranslations:
                 assert nxt.denom == current.denom  # the move keeps the lattice
                 current = nxt
         assert min(kinds.values()) > 50, kinds
+
+
+class TestPickle:
+    def test_round_trip_keeps_the_lattice(self):
+        # user-built exchanges, Rauzy states and induced maps all cross a
+        # process pool as their lattice
+        rng = random.Random(23)
+        kinds = {"user": 0, "rauzy": 0, "induced": 0}
+        for n in range(300):
+            lengths, perm = draw(rng, rng.randint(1, 6), force_runs=n % 3 == 0)
+            iet = make_iet(lengths, perm)
+            values = [("user", iet)]
+            state, _, _ = outcome(rauzy_step, iet)
+            if state is not None:
+                values.append(("rauzy", state))
+            b = iet.base_length * F(rng.randint(1, 99), 100)
+            values.append(("induced", induce(iet, b, 10**4).induced))
+            for kind, x in values:
+                kinds[kind] += 1
+                for y in (pickle.loads(pickle.dumps(x)), copy.copy(x)):
+                    assert type(y) is Iet and y == x
+                    assert (y.denom, y.cuts, y.shifts) == (x.denom, x.cuts, x.shifts)
+                    assert (y.breakpoints, y.translations) == (x.breakpoints, x.translations)
+        assert min(kinds.values()) > 100, kinds
 
 
 class TestLatticeChecks:
