@@ -10,8 +10,10 @@ abut, so the stored breakpoints are exactly the discontinuities of the
 map; it ranks the image starts into the permutation; and it checks that
 the images tile the base.
 
-Every public value is a ``Fraction`` in lowest terms, built once from the
-lattice.  Rauzy moves, first returns and the edge count read the lattice.
+Every public value is a ``Fraction`` in lowest terms, built from the
+lattice on first read, then cached.  Rauzy moves, first returns and the
+edge count read the lattice, so the states they pass along build no
+``Fraction`` that nothing reads.
 
 Permutations are 1-indexed: ``permutation[i]`` is the rank of the image of
 the (i+1)-th subinterval among all image subintervals, counted from the
@@ -60,14 +62,18 @@ def format_rational(value: Fraction) -> str:
 class Iet:
     """An interval exchange transformation in canonical form.
 
-    Besides the public ``Fraction`` values, an exchange keeps its integer
-    lattice: ``denom`` is a common denominator (not necessarily the least
-    one), ``cuts`` are the breakpoints times ``denom`` and ``shifts[i]`` is
-    the translation of subinterval i times ``denom``.  Kernel code reads
-    these instead of re-deriving them from the ``Fraction``s.
+    An exchange is stored as its integer lattice: ``denom`` is a common
+    denominator (not necessarily the least one), ``cuts`` are the
+    breakpoints times ``denom`` and ``shifts[i]`` is the translation of
+    subinterval i times ``denom``.  Kernel code reads these.  The public
+    ``Fraction`` values ``lengths``, ``breakpoints``, ``translations`` and
+    ``base_length`` are built from the lattice on first read and cached;
+    equality and hashing compare the lattice over its least denominator,
+    so they build none.
 
     Values are immutable after construction and safe to share between
-    concurrent workers; they pickle as their lattice.
+    concurrent workers (a first read racing another only builds equal
+    values twice); they pickle as their lattice.
     """
 
     __slots__ = ("lengths", "permutation", "base_length", "breakpoints", "translations")
@@ -128,15 +134,27 @@ class Iet:
             end = cuts[i + 1] + shifts[i]
             perm[i] = rank
 
-        lengths = tuple(Fraction(hi - lo, denom) for lo, hi in zip(cuts, cuts[1:]))
-        object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "permutation", tuple(perm))
-        object.__setattr__(self, "base_length", Fraction(end, denom))
-        object.__setattr__(self, "breakpoints", tuple(Fraction(c, denom) for c in cuts))
-        object.__setattr__(self, "translations", tuple(Fraction(s, denom) for s in shifts))
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "shifts", shifts)
+
+    def __getattr__(self, name: str):
+        # reached only for an unset slot: the public Fractions are built
+        # from the lattice on first read, then cached in their slots
+        if name == "lengths":
+            cuts = self.cuts
+            value = tuple(Fraction(hi - lo, self.denom) for lo, hi in zip(cuts, cuts[1:]))
+        elif name == "breakpoints":
+            value = tuple(Fraction(c, self.denom) for c in self.cuts)
+        elif name == "translations":
+            value = tuple(Fraction(s, self.denom) for s in self.shifts)
+        elif name == "base_length":
+            value = Fraction(self.cuts[-1], self.denom)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Iet values are immutable")
@@ -148,17 +166,19 @@ class Iet:
     @property
     def m(self) -> int:
         """Number of exchanged subintervals."""
-        return len(self.lengths)
+        return len(self.shifts)
+
+    def _key(self) -> tuple:
+        # the lattice over its least denominator is canonical, and with
+        # the permutation it fixes the map
+        g = math.gcd(self.denom, *self.cuts)
+        return self.permutation, self.denom // g, tuple(c // g for c in self.cuts)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Iet)
-            and self.lengths == other.lengths
-            and self.permutation == other.permutation
-        )
+        return isinstance(other, Iet) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.lengths, self.permutation))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         ls = ", ".join(format_rational(x) for x in self.lengths)

@@ -37,27 +37,38 @@ from .iet import Iet, RationalLike, as_rational, make_iet
 class InducedResult:
     """First-return map of ``parent`` to [0, b) plus return-time data.
 
-    ``pieces`` refines the canonical intervals of ``induced``: an induction
-    cut can make two pieces with different return times carry the same
-    translation, in which case the canonical map merges them but the
-    return times stay distinct.  ``return_times[i]`` is the number of
-    parent steps after which points of ``pieces[i]`` first re-enter [0, b).
+    ``ends`` are the integer ends of the return-time pieces, from 0 to the
+    base, on the lattice of ``induced`` (over ``induced.denom``); the
+    ``Fraction`` views ``pieces``, ``parent_break_hits`` and ``kac_total``
+    are built from them when read.  ``pieces`` refines the canonical
+    intervals of ``induced``: an induction cut can make two pieces with
+    different return times carry the same translation, in which case the
+    canonical map merges them but the return times stay distinct.
+    ``return_times[i]`` is the number of parent steps after which points
+    of ``pieces[i]`` first re-enter [0, b).
     """
 
     induced: Iet
     return_times: tuple[int, ...]
-    pieces: tuple[tuple[Fraction, Fraction], ...]
-    parent_break_hits: tuple[Fraction, ...]
+    ends: tuple[int, ...]
     parent_base: Fraction
+
+    @property
+    def pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        ends = [Fraction(e, self.induced.denom) for e in self.ends]
+        return tuple(zip(ends[:-1], ends[1:]))
+
+    @property
+    def parent_break_hits(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(e, self.induced.denom) for e in self.ends[1:-1])
 
     @property
     def kac_total(self) -> Fraction:
         """Sum of return_time * piece length; equals the parent base length
         exactly when the return orbits sweep the whole parent interval."""
-        total = Fraction(0)
-        for (lo, hi), k in zip(self.pieces, self.return_times):
-            total += (hi - lo) * k
-        return total
+        ends = self.ends
+        total = sum((hi - lo) * k for lo, hi, k in zip(ends, ends[1:], self.return_times))
+        return Fraction(total, self.induced.denom)
 
     @property
     def covers_parent(self) -> bool:
@@ -65,8 +76,9 @@ class InducedResult:
 
 
 def default_return_budget(parent: Iet, b: Fraction) -> int:
-    """Step budget heuristic: 10 * (m + floor(base/b) + 1)."""
-    return 10 * (parent.m + int(parent.base_length / b) + 1)
+    """Step budget heuristic: 10 * (m + floor(base/b) + 1), for b > 0."""
+    base_over_b = parent.cuts[-1] * b.denominator // (parent.denom * b.numerator)
+    return 10 * (parent.m + base_over_b + 1)
 
 
 def induction_base(parent: Iet, b: RationalLike) -> Fraction:
@@ -170,13 +182,11 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
             merged[-1][1] = hi
         else:
             merged.append([lo, hi, off, steps])
-    ends = [Fraction(p[0], denom) for p in merged] + [b]
 
     return InducedResult(
         induced=return_map(merged, denom),
         return_times=tuple(p[3] for p in merged),
-        pieces=tuple(zip(ends[:-1], ends[1:])),
-        parent_break_hits=tuple(ends[1:-1]),
+        ends=(*(p[0] for p in merged), top),
         parent_base=parent.base_length,
     )
 

@@ -21,7 +21,7 @@ from ietflow import (
     rescale,
 )
 from ietflow.edges import default_probe_scales
-from ietflow.induction import first_returns
+from ietflow.induction import default_return_budget, first_returns
 from .test_iet_core import random_iet, rotation
 
 
@@ -96,6 +96,25 @@ class TestInduce:
         parent = rotation(F(1, 1000))
         with pytest.raises(ReturnTimeExceeded):
             induce(parent, F(1, 100), max_steps=5)
+
+    def test_default_budget_on_numerators(self):
+        # the integer budget must equal the Fraction formula, also for
+        # parents on an unreduced lattice and bases whose denominator does
+        # not divide the parent's
+        rng = random.Random(27)
+        foreign = 0
+        for n in range(600):
+            parent = random_iet(rng, rng.randint(2, 6))
+            if n % 2:
+                k = rng.randint(2, 12)
+                parent = Iet.from_lattice(
+                    k * parent.denom, [k * c for c in parent.cuts], [k * t for t in parent.shifts]
+                )
+            b = parent.base_length * F(rng.randint(1, 1000), rng.randint(1000, 1100))
+            foreign += parent.denom % b.denominator != 0
+            expected = 10 * (parent.m + int(parent.base_length / b) + 1)
+            assert default_return_budget(parent, b) == expected, (parent, b)
+        assert foreign > 400
 
     def test_induced_of_induced(self):
         rng = random.Random(43)

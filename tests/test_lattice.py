@@ -6,10 +6,14 @@ Rauzy move that renumbers the permutation.  The core must agree with them
 exactly.
 """
 
+import ast
 import copy
+import importlib
+import math
 import pickle
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ from ietflow import (
     rauzy_step,
 )
 from ietflow.induction import is_irreducible
+
+PUBLIC = ("lengths", "breakpoints", "translations", "base_length")
 
 
 def reference_canonical(lengths, perm):
@@ -220,3 +226,101 @@ class TestLatticeChecks:
             Iet.from_lattice(4, [0, 3, 2, 4], [1, 0, -3])
         with pytest.raises(NotInduced, match="do not increase"):
             Iet.from_lattice(4, [1, 2, 4], [1, -1])
+
+
+class TestLatticeEquality:
+    def test_equal_across_denominators(self):
+        iet = Iet.from_lattice(6, [0, 4, 6], [2, -4])
+        other = make_iet([F(2, 3), F(1, 3)], [2, 1])
+        assert iet.denom != other.denom
+        assert iet == other and hash(iet) == hash(other)
+
+    def test_same_lengths_other_permutation(self):
+        quarters = [F(1, 4)] * 4
+        assert make_iet(quarters, [4, 3, 2, 1]) != make_iet(quarters, [3, 1, 4, 2])
+
+    def test_matches_fraction_equality(self):
+        # equality on the lattice agrees with equality of the public
+        # values, also when one side sits on a multiple of its denominator
+        rng = random.Random(25)
+        equal = 0
+        for n in range(1500):
+            lengths, perm = draw(rng, rng.randint(1, 4), force_runs=n % 3 == 0)
+            iet = make_iet(lengths, perm)
+            if n % 2:
+                k = rng.randint(2, 9)
+                other = Iet.from_lattice(
+                    k * iet.denom, [k * c for c in iet.cuts], [k * t for t in iet.shifts]
+                )
+            else:
+                other = make_iet(*draw(rng, rng.randint(1, 4), force_runs=n % 3 == 0))
+            same = (iet.lengths, iet.permutation) == (other.lengths, other.permutation)
+            assert (iet == other) == same, (iet, other)
+            if same:
+                equal += 1
+                assert hash(iet) == hash(other)
+        assert equal > 700
+
+
+class TestLazyPublicValues:
+    """Rauzy states and return maps keep only their lattice; the public
+    ``Fraction``s are built on first read."""
+
+    def exchanges(self, rng, count):
+        for n in range(count):
+            lengths, perm = draw(rng, rng.randint(2, 6), force_runs=n % 3 == 0)
+            iet = make_iet(lengths, perm)
+            state, _, _ = outcome(rauzy_step, iet)
+            if state is not None:
+                yield "rauzy", state
+            b = iet.base_length * F(rng.randint(1, 99), rng.randint(100, 130))
+            yield "induced", induce(iet, b, 10**4).induced
+
+    def test_public_slots_unset_until_read(self):
+        kinds = {"rauzy": 0, "induced": 0}
+        for kind, x in self.exchanges(random.Random(26), 300):
+            kinds[kind] += 1
+            for name in PUBLIC:
+                with pytest.raises(AttributeError):
+                    getattr(Iet, name).__get__(x, Iet)
+            expected = {
+                "lengths": tuple(F(hi - lo, x.denom) for lo, hi in zip(x.cuts, x.cuts[1:])),
+                "breakpoints": tuple(F(c, x.denom) for c in x.cuts),
+                "translations": tuple(F(t, x.denom) for t in x.shifts),
+                "base_length": F(x.cuts[-1], x.denom),
+            }
+            for name in PUBLIC:
+                value = getattr(x, name)
+                assert value == expected[name]
+                assert getattr(Iet, name).__get__(x, Iet) is value  # cached in its slot
+                for q in value if isinstance(value, tuple) else (value,):
+                    assert type(q) is F and math.gcd(q.numerator, q.denominator) == 1
+            y = pickle.loads(pickle.dumps(x))
+            assert all(getattr(y, name) == getattr(x, name) for name in PUBLIC)
+        assert min(kinds.values()) > 100, kinds
+
+    def test_bare_instance_has_no_attributes(self):
+        bare = object.__new__(Iet)
+        for name in (*PUBLIC, "denom", "cuts", "shifts", "permutation", "m", "other"):
+            with pytest.raises(AttributeError):
+                getattr(bare, name)
+
+
+def float_uses(source: str) -> list[int]:
+    """Lines of ``source`` holding a float literal or a ``float(`` call."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+    ]
+
+
+class TestExactness:
+    def test_scan_finds_floats(self):
+        assert float_uses("a = 1\nb = 0.5\nc = 1e-9\nd = float(a)\ne = 2j\n") == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize("module", ["iet", "induction"])
+    def test_exchange_layer_has_no_floats(self, module):
+        path = Path(importlib.import_module(f"ietflow.{module}").__file__)
+        assert float_uses(path.read_text()) == []
