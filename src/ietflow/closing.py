@@ -25,9 +25,9 @@ form, evaluated in floating point without any search; the float twisted
 kernel re-validates it by forward integration.
 
 Closing walks down the probe scales of ``probe_walk`` (the Rauzy states,
-then halved bases past a tie) and stops on exact invariants: a scale <= p
-or an identity return map.  Along the Rauzy states it also stops where a
-return outgrows the budget ``induce`` would give that scale.  A
+continued through ties by exact first returns) and stops on exact
+invariants: a scale <= p or an identity return map.  It also stops where
+a return outgrows the budget ``induce`` would give that scale.  A
 first-return suspension is built only at a scale whose return map meets
 the edge quota, from the previous closing's suspension.  Both the return
 times along the walk and the suspension's roofs come from the integer
@@ -59,6 +59,7 @@ from .edges import (
     probe_walk,
 )
 from .iet import Iet, RationalLike, as_rational
+# unused ``induce`` is read by test_tracer_rebinds_every_import_site_and_restores_them
 from .induction import default_return_budget, first_returns, induce, induction_base, return_map
 
 SINGULAR_SNAP = 1e-12
@@ -392,11 +393,10 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
     p, lazily, ending after an identity map: every smaller return map of
     an identity is the identity too.
 
-    A Rauzy state is taken as it is; past a tie each map is induced from
-    the previous one.  Along the Rauzy states the return time of every
-    point is kept on integer numerators, as cells of constant return time
-    and translation: a Rauzy step is the first return of the previous
-    state to the new base, which every point reaches within two steps, so
+    Each map is a state of the walk.  The return time of every point is
+    kept on integer numerators, as cells of constant return time and
+    translation: each state is the first return of the previous one to
+    its base, which every point reaches within two steps, so
     ``first_returns`` with the return times as weights gives the new
     cells.  A state whose longest return passes
     ``default_return_budget(base, scale)``, the budget ``induce`` gives
@@ -405,17 +405,11 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
     """
     cuts, shifts, times = base.cuts, base.shifts, [1] * base.m
     budget = 0
-    current = base
-    for b, state in probe_walk(base):
+    for state, _ in probe_walk(base):
+        b = state.base_length
         if b <= p:
             return
-        if state is None:
-            current = induce(current, b).induced
-            yield current
-            if current.m == 1:
-                return
-            continue
-        top = state.cuts[-1]  # Rauzy states keep the lattice of ``base``
+        top = state.cuts[-1]  # the states keep the lattice of ``base``
         pieces, _ = first_returns(cuts, shifts, times, [], top, 2, b)
         cuts, _, shifts, _, times = zip(*pieces)
         cuts += (top,)
@@ -425,8 +419,7 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
             budget = default_return_budget(base, b)
             if max(times) > budget:
                 raise ReturnTimeExceeded(budget, scale=b)
-        current = state
-        yield current
+        yield state
 
 
 def _pick_admissible_edge(flow: SuspensionFlow, blocked: list) -> VirtualEdge | None:
@@ -470,8 +463,8 @@ def close_at_point(
     width, so successive closing parameters shrink with the neighborhoods.
     Raises NoEdgeInNeighborhood(n) once the walk reaches a scale <= p or an
     identity return map, below which every return map is the identity, and
-    ReturnTimeExceeded at a Rauzy state whose return outgrows the budget
-    (see ``_return_maps``).
+    ReturnTimeExceeded at a state whose return outgrows the budget (see
+    ``_return_maps``).
     """
     p = as_rational(p)
     if not 0 <= p < flow.base.base_length:

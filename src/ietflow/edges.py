@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .errors import ReduciblePermutation, ReturnTimeExceeded, TieEncountered
+from .errors import ReduciblePermutation, TieEncountered
 from .iet import Iet, RationalLike, as_rational, make_iet
-from .induction import induce, is_irreducible, rauzy_step
+from .induction import first_returns, induce, is_irreducible, rauzy_step, return_map
 
 DEFAULT_WITNESS_GAP = Fraction(1, 10**6)
 
@@ -212,48 +212,56 @@ _CERTIFIED_NOTE = (
 )
 
 
-def probe_walk(iet: Iet) -> Iterator[tuple[Fraction, Iet | None]]:
-    """The probe scales of ``iet``, lazily and without end, each with its
-    Rauzy state.
+def probe_walk(iet: Iet) -> Iterator[tuple[Iet, bool]]:
+    """The Rauzy states of ``iet``, lazily, ending after an identity map,
+    each with whether the walk has passed a tie or a reducible permutation.
 
-    First the base lengths of the Rauzy states, each state being the
-    first-return map to its own base (see ``check_induction_consistency``).
-    Once induction ties out, or is undefined, the last scale is halved
-    again and again; those scales come with None, their return maps being
-    left to the caller.
+    Each state is the first-return map of the previous one to its own base
+    (see ``check_induction_consistency``), on the lattice of ``iet``.  At a
+    tie or a reducible permutation the walk takes the first return to
+    b - min(L_last, L_beta), beta being the interval whose image is last;
+    every point returns within two steps, as in a Rauzy move.
     """
     current = iet
-    try:
-        while True:
+    tied = False
+    while current.m > 1:
+        try:
             current, _ = rauzy_step(current)
-            yield current.base_length, current
-    except (TieEncountered, ReduciblePermutation):
-        pass
-    b = current.base_length
-    while True:
-        b /= 2
-        yield b, None
+        except (TieEncountered, ReduciblePermutation):
+            cuts, beta = current.cuts, current.permutation.index(current.m)
+            top = cuts[-1] - min(cuts[-1] - cuts[-2], cuts[beta + 1] - cuts[beta])
+            scale = Fraction(top, current.denom)
+            pieces, _ = first_returns(cuts, current.shifts, [0] * current.m, [], top, 2, scale)
+            current = return_map(pieces, current.denom)
+            tied = True
+        yield current, tied
+
+
+def _walk_scales(iet: Iet, depth: int) -> Iterator[tuple[Fraction, bool]]:
+    """The first ``depth`` scales of ``probe_walk``, lazily, each with
+    whether the walk has passed a tie."""
+    return ((state.base_length, tied) for state, tied in islice(probe_walk(iet), depth))
 
 
 def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
-    """The first ``depth`` scales of ``probe_walk`` and whether the halving
-    fallback was needed."""
-    walk = list(islice(probe_walk(iet), depth))
-    return [b for b, _ in walk], any(state is None for _, state in walk)
+    """The first ``depth`` scales of ``probe_walk`` and whether the walk
+    passed a tie or a reducible permutation within them."""
+    walk = list(_walk_scales(iet, depth))
+    return [b for b, _ in walk], any(tied for _, tied in walk)
 
 
 def _probe_entries(iet: Iet, threshold: int, walk) -> Iterator[tuple[ProbeEntry, bool]]:
-    """Edge counts of the first-return maps at each scale of ``walk``, one
-    per scale, lazily, each with whether it was a fallback scale.
+    """Edge counts of the first-return maps at each (scale, tie flag) of
+    ``walk``, one per scale, lazily, each with its tie flag.
 
     Consecutive inductions are chained: the return map to a smaller base
     factors through the return map to any larger one.
     """
     current = iet
-    for b, state in walk:
+    for b, tied in walk:
         current = induce(current, b).induced
         count, _ = max_disjoint_edges(current, with_witness=False)
-        yield ProbeEntry(b, count, count >= threshold), state is None
+        yield ProbeEntry(b, count, count >= threshold), tied
 
 
 def probe_edge_criterion(
@@ -264,12 +272,12 @@ def probe_edge_criterion(
 ) -> EdgeCriterionReport:
     """Probe the edge quota at each scale of a decreasing sequence.
 
-    Default scales are the Rauzy base lengths with a halving fallback past
-    a tie.  The verdict is conjunctive over the probed scales: any failing
-    scale refutes at this depth (probing stops there); a clean sweep is
-    certified_to_depth, downgraded to undecided_tie when the fallback was
-    needed.  ``used_fallback_scales`` says whether a probed scale was a
-    fallback scale.
+    Default scales are those of ``probe_walk``.  The verdict is conjunctive
+    over the probed scales: any failing scale refutes at this depth
+    (probing stops there), and so does an identity, which has no scale
+    below its base; a clean sweep is certified_to_depth, downgraded to
+    undecided_tie when the walk passed a tie within it, which
+    ``used_fallback_scales`` reports.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -282,25 +290,26 @@ def probe_edge_criterion(
                 raise ValueError("scales must be strictly decreasing")
         if resolved[0] > iet.base_length or resolved[-1] <= 0:
             raise ValueError("scales must lie in (0, base]")
-        walk = ((b, iet) for b in resolved)
+        walk = ((b, False) for b in resolved)
     else:
-        walk = islice(probe_walk(iet), depth)
+        walk = _walk_scales(iet, depth)
 
-    # the walk advances with the scan: no Rauzy step past the first failure
+    # the walk advances with the scan: no Rauzy step past the first failure;
+    # a tie flag never turns back off, so the last one covers the sweep
     probes: list[ProbeEntry] = []
-    fallback = False
-    for entry, at_fallback in _probe_entries(iet, criterion.threshold, walk):
-        fallback = fallback or at_fallback
+    tie = False
+    for entry, tie in _probe_entries(iet, criterion.threshold, walk):
         probes.append(entry)
         if not entry.passed:
-            verdict = "refuted_at_depth"
             break
+    if not probes or not probes[-1].passed:
+        verdict = "refuted_at_depth"
     else:
-        verdict = "undecided_tie" if fallback else "certified_to_depth"
+        verdict = "undecided_tie" if tie else "certified_to_depth"
     note = _CERTIFIED_NOTE
     if criterion.clamped:
         note += "; edge quota clamped to 1 (raw chi+k+3 was non-positive)"
-    return EdgeCriterionReport(criterion, tuple(probes), verdict, fallback, note)
+    return EdgeCriterionReport(criterion, tuple(probes), verdict, tie, note)
 
 
 # -- Monte Carlo full-measure experiment -------------------------------------
@@ -391,24 +400,18 @@ def _probe_sample(job) -> SampleOutcome:
     """Worker body: the visit-based outcome of one sampled exchange."""
     index, iet, threshold, depth = job
     entries = []
-    fallback = False
-    try:
-        for entry, at_fallback in _probe_entries(iet, threshold, islice(probe_walk(iet), depth)):
-            entries.append(entry)
-            fallback = fallback or at_fallback
-    except ReturnTimeExceeded:
-        # a post-tie fallback scale outran the return budget; the scales
-        # actually probed still count, the rest stay unknown
-        fallback = True
+    tie = False  # the last tie flag covers the sweep
+    for entry, tie in _probe_entries(iet, threshold, _walk_scales(iet, depth)):
+        entries.append(entry)
     passed = [e.passed for e in entries]
     if any(passed):
         verdict = "certified_to_depth"
         first = passed.index(True) + 1
     else:
-        verdict = "undecided_tie" if fallback else "refuted_at_depth"
+        verdict = "undecided_tie" if tie else "refuted_at_depth"
         first = None
     return SampleOutcome(
-        index, iet.lengths, iet.permutation, verdict, len(entries), sum(passed), first, fallback
+        index, iet.lengths, iet.permutation, verdict, len(entries), sum(passed), first, tie
     )
 
 
@@ -425,9 +428,9 @@ def estimate_full_measure(
 
     Per-sample verdicts are visit-based: certified_to_depth when at least
     one probed scale met the quota (renormalization found a good scale),
-    refuted_at_depth when every scale failed with the full Rauzy sequence
-    available, undecided_tie when every scale failed but induction tied
-    out early.  Deterministic for a fixed seed; worker parallelism does
+    refuted_at_depth when every scale failed and the walk passed no tie,
+    undecided_tie when every scale failed past a tie or a reducible
+    permutation.  Deterministic for a fixed seed; worker parallelism does
     not change the output (results are assembled in sample order).
     """
     if m < 2:

@@ -313,14 +313,22 @@ class TestCli:
         assert data["verdict"] == "refuted_at_depth"
 
     def test_probe_stops_at_the_first_failing_scale(self, tmp_path, capsys):
-        # the first scale refutes; a later fallback scale would outrun the
-        # return budget, so probing past the first failure exits 2
+        # the first scale refutes, and probing stops there
         path = tmp_path / "m4.json"
         dump_iet(make_iet([F(181, 1000), F(319, 500), F(1, 1000), F(9, 50)], [4, 3, 2, 1]), str(path))
         assert run(["probe", "--input", str(path), "--depth", "5"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"] == "refuted_at_depth"
         assert data["probes"] == [{"edge_count": 0, "passed": False, "scale": "41/50"}]
+        assert data["used_fallback_scales"] is False
+
+    def test_probe_identity_prints_no_probes(self, tmp_path, capsys):
+        # an identity has no scale below its base, so the walk is empty
+        path = tmp_path / "id.json"
+        dump_iet(make_iet([F(1)], [1]), str(path))
+        assert run(["probe", "--input", str(path), "--depth", "3"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["verdict"], data["probes"]) == ("refuted_at_depth", [])
         assert data["used_fallback_scales"] is False
 
     def test_close_identity_base_exit_2(self, tmp_path, capsys):

@@ -1,10 +1,10 @@
 """Virtual edge search, disjoint packing, criterion probes, measure scan."""
 
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
-from itertools import islice
 
 import pytest
 
@@ -18,17 +18,20 @@ from ietflow import (
     max_disjoint_edges,
     probe_edge_criterion,
 )
+from ietflow.cli import run
+from ietflow.closing import _return_maps
 from ietflow.edges import (
     DEFAULT_WITNESS_GAP,
     VirtualEdge,
-    _probe_entries,
     _probe_sample,
     default_probe_scales,
     probe_walk,
+    sample_iet,
     sample_uniform_iet,
 )
 from ietflow.errors import ReturnTimeExceeded
 from ietflow.induction import induce
+from ietflow.serialize import dump_iet
 from .test_iet_core import random_iet, rotation
 
 
@@ -213,21 +216,22 @@ class TestProbe:
         )
 
     def test_identity_refuted_immediately(self):
+        # an identity has no scale below its base, so the walk is empty and
+        # the empty sweep refutes instead of certifying
         report = probe_edge_criterion(identity_iet(), ClosingCriterion(-3, 1), 3)
         assert report.verdict == "refuted_at_depth"
-        assert report.probes[0].edge_count == 0
-        assert len(report.probes) == 1
-        assert report.used_fallback_scales  # no Rauzy scales exist here
+        assert report.probes == ()
+        assert report.used_fallback_scales is False
 
     def test_fallback_flag_covers_only_the_probed_scales(self):
-        # refuted at 17/22, the first Rauzy scale; induction ties out later,
-        # but no fallback scale is probed
+        # refuted at 17/22, the first Rauzy scale; induction ties later,
+        # past the probed scales
         iet = make_iet([F(5, 22), F(17, 22)], [2, 1])
         report = probe_edge_criterion(iet, ClosingCriterion(-3, 1), 8)
         assert report.verdict == "refuted_at_depth"
         assert [p.scale for p in report.probes] == [F(17, 22)]
         assert report.used_fallback_scales is False
-        assert default_probe_scales(iet, 8)[1]  # the first 8 scales need the fallback
+        assert default_probe_scales(iet, 8)[1]  # the walk passes a tie within 8 scales
 
     def test_default_scale_counts_match_recomputation(self):
         rng = random.Random(89)
@@ -257,6 +261,39 @@ class TestProbe:
     def test_certified_note_disclaims(self):
         report = probe_edge_criterion(rotation(F(1, 16)), ClosingCriterion(-3, 1), 2)
         assert "probed scales" in report.note
+
+
+class TestProbeWalk:
+    @pytest.mark.parametrize("sampler", [sample_iet, sample_uniform_iet])
+    def test_walk_invariants_on_seeded_exchanges(self, sampler):
+        # every step is the first return of the previous state to its base,
+        # within two steps, Rauzy move or tie continuation alike
+        rng = random.Random(12)
+        raised = 0
+        for i in range(48):
+            iet, _ = sampler(rng, 2 + i % 4, (60, 1000, 10**6)[i // 4 % 3])
+            walk = list(probe_walk(iet))
+            assert walk[-1][0].m == 1
+            assert all(state.m > 1 for state, _ in walk[:-1])
+            # Rauzy moves keep a permutation irreducible, so only a tie or
+            # its continuation reaches the identity
+            assert walk[-1][1]
+            scales = [state.base_length for state, _ in walk]
+            assert all(a > b for a, b in zip([iet.base_length] + scales, scales))
+            previous = iet
+            for state, _ in walk:
+                res = induce(previous, state.base_length)
+                assert res.induced == state and max(res.return_times) <= 2
+                previous = state
+            maps = _return_maps(iet, 0)
+            try:
+                for state, _ in walk:
+                    assert next(maps) == state
+            except ReturnTimeExceeded:
+                raised += 1
+                continue
+            assert next(maps, None) is None
+        assert 0 < raised < 48
 
 
 class TestMeasure:
@@ -303,19 +340,21 @@ class TestMeasure:
         iet, _ = sample_uniform_iet(random.Random(0), 2, 2)
         assert iet.lengths == (F(1, 2), F(1, 2))
 
-    def test_fallback_scale_outrunning_the_return_budget(self):
-        # Rauzy induction ties after 19 moves; inducing on the first halving
-        # scale, 111/500, then exceeds the return budget.  The 19 probed
-        # scales still count and the sample is marked as a tie.
+    def test_probe_and_measure_agree_past_a_tie(self, tmp_path, capsys):
+        # Rauzy induction ties after 19 moves; the walk goes on by the exact
+        # first return, so probe and measure read the same 20 scales
         iet = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
-        scales, fallback = default_probe_scales(iet, 20)
-        assert fallback and scales[19] == F(111, 500)
-        with pytest.raises(ReturnTimeExceeded):
-            list(_probe_entries(iet, 1, islice(probe_walk(iet), 20)))
+        path = tmp_path / "m4.json"
+        dump_iet(iet, str(path))
+        assert run(["probe", "--input", str(path), "--depth", "20"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["verdict"], data["used_fallback_scales"]) == ("undecided_tie", True)
+        scales, tie = default_probe_scales(iet, 20)
+        assert tie and [p["scale"] for p in data["probes"]] == [str(b) for b in scales]
+        assert len(scales) == 20 and all(p["passed"] for p in data["probes"])
         outcome = _probe_sample((0, iet, 1, 20))
-        assert (outcome.scales_probed, outcome.scales_passed) == (19, 19)
-        assert (outcome.first_pass_index, outcome.tie) == (1, True)
-        assert outcome.verdict == "certified_to_depth"
+        assert (outcome.scales_probed, outcome.scales_passed, outcome.tie) == (20, 20, True)
+        assert (outcome.first_pass_index, outcome.verdict) == (1, "certified_to_depth")
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_below_one_rejected(self, depth):

@@ -4,6 +4,7 @@ import bisect
 import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -20,7 +21,7 @@ from ietflow import (
     rauzy_step,
     rescale,
 )
-from ietflow.edges import default_probe_scales
+from ietflow.edges import default_probe_scales, probe_walk
 from ietflow.induction import default_return_budget, first_returns
 from .test_iet_core import random_iet, rotation
 
@@ -189,27 +190,22 @@ class TestIntegerPath:
         assert_matches_oracle(parent, b, res)
         assert res.induced.base_length == b
 
-    def test_halving_fallback_scale_doubles_the_denominator(self):
-        # Rauzy induction ties after 19 moves; the fallback scales halve
-        # the last Rauzy scale, 111/250, so 111/1000 needs twice the
-        # denominator of its parent's lengths
+    def test_tie_continuation_keeps_the_denominator(self):
+        # Rauzy induction ties after 19 moves, at 111/250; the walk goes on
+        # by exact first returns to a base shortened by whole lattice units,
+        # so every map past the tie stays on the denominator 500
         iet = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
-        scales, fallback = default_probe_scales(iet, 22)
-        assert fallback and scales[18:] == [F(111, 250), F(111, 500), F(111, 1000), F(111, 2000)]
-        current = iet
-        for b in scales[:19]:
-            current = induce(current, b).induced
-        longest = 0
-        for b in scales[19:]:
-            denom = math.lcm(*(x.denominator for x in current.lengths))
-            if b == F(111, 1000):
-                assert b.denominator == 2 * denom
-            res = induce(current, b, max_steps=10**4)
-            assert_matches_oracle(current, b, res)
-            longest = max(longest, *res.return_times)
-            current = res.induced
-        # 111/500 returns after up to 112 steps, past its default budget
-        assert longest == 112
+        scales, tie = default_probe_scales(iet, 24)
+        assert tie and scales[17:] == [
+            F(223, 500), F(111, 250), F(11, 25), F(219, 500), F(109, 250), F(217, 500), F(54, 125)
+        ]
+        states = [state for state, _ in islice(probe_walk(iet), 24)]
+        for previous, state in zip(states[17:], states[18:]):
+            b = state.base_length
+            res = induce(previous, b)
+            assert_matches_oracle(previous, b, res)
+            assert res.induced == state and max(res.return_times) <= 2
+            assert math.lcm(*(x.denominator for x in (*state.lengths, *state.translations))) == 500
 
     def test_long_return(self):
         parent = rotation(F(1, 10))
