@@ -24,14 +24,14 @@ Box geometry stays exact rational.  The closing parameter has a closed
 form, evaluated in floating point without any search; the float twisted
 kernel re-validates it by forward integration.
 
-Closing walks down the probe scales of ``probe_walk`` (the Rauzy states,
-continued through ties by exact first returns) and stops on exact
-invariants: a scale <= p or an identity return map.  It also stops where
-a return outgrows the budget ``induce`` would give that scale.  A
-first-return suspension is built only at a scale whose return map meets
-the edge quota, from the previous closing's suspension.  Both the return
-times along the walk and the suspension's roofs come from the integer
-kernel ``first_returns``, with return times or roofs as its weights.
+Closing walks down the scales of ``probe_walk``, chained first returns to
+shortened bases (Rauzy states away from ties, cross-checked by
+``rauzy_step``), and stops on exact invariants: a scale <= p or an
+identity return map.  It also stops where a return outgrows the budget
+``induce`` would give that scale.  A first-return suspension is built
+only at a scale whose return map meets the edge quota, from the previous
+closing's suspension.  The return times along the walk and the
+suspension's roofs are the weights of the integer kernel ``first_returns``.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ from .edges import (
     VirtualEdge,
     find_virtual_edges,
     max_disjoint_edges,
-    probe_walk,
+    shortened_base,
 )
 from .iet import Iet, RationalLike, as_rational
 # unused ``induce`` is read by test_tracer_rebinds_every_import_site_and_restores_them
-from .induction import default_return_budget, first_returns, induce, induction_base, return_map
+from .induction import default_return_budget, first_returns, induce, induction_top, return_map
 
 SINGULAR_SNAP = 1e-12
 
@@ -365,18 +365,18 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
     partition, so each cell of the output partition has one roof.
     """
     base = flow.base
-    b = induction_base(base, b)
+    b = as_rational(b)
     part = flow.partition
     # translations share the breakpoints' denominator, which the partition
     # refines, so every cut, shift and singular point lives on 1/denom
     denom = math.lcm(b.denominator, *(x.denominator for x in (*part, *flow.singular_points)))
+    top = induction_top(base, b, denom)
     cuts = [x.numerator * (denom // x.denominator) for x in part]
     pieces = [bisect.bisect_right(base.breakpoints, x) - 1 for x in part[:-1]]
     shifts = [base.shifts[i] * denom // base.denom for i in pieces]
     sing = [q.numerator * (denom // q.denominator) for q in flow.singular_points]
     rden = math.lcm(*(r.denominator for r in flow.roof))
     rnums = [r.numerator * (rden // r.denominator) for r in flow.roof]
-    top = b.numerator * (denom // b.denominator)
     budget = default_return_budget(base, b)
     pieces, pulled = first_returns(cuts, shifts, rnums, sing, top, budget, b)
     return SuspensionFlow(
@@ -389,28 +389,28 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
 
 
 def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
-    """First-return maps of ``base`` at the scales of ``probe_walk`` above
-    p, lazily, ending after an identity map: every smaller return map of
-    an identity is the identity too.
+    """The states of ``probe_walk`` on ``base`` above p, lazily, ending
+    after an identity map: every smaller return map of an identity is the
+    identity too.
 
-    Each map is a state of the walk.  The return time of every point is
-    kept on integer numerators, as cells of constant return time and
-    translation: each state is the first return of the previous one to
-    its base, which every point reaches within two steps, so
-    ``first_returns`` with the return times as weights gives the new
-    cells.  A state whose longest return passes
+    The return time of every point is kept on integer numerators, as cells
+    of constant return time and translation.  Each state is the first
+    return of the previous one to its ``shortened_base``, reached within
+    two steps, so one ``first_returns`` run weighted by the return times
+    gives the state and its cells.  A state whose longest return passes
     ``default_return_budget(base, scale)``, the budget ``induce`` gives
     that scale, raises ReturnTimeExceeded, so a long run of small steps (a
     rotation by 1/N shrinks the base by 1/N a step) ends the walk.
     """
-    cuts, shifts, times = base.cuts, base.shifts, [1] * base.m
+    state, cuts, shifts, times = base, base.cuts, base.shifts, [1] * base.m
     budget = 0
-    for state, _ in probe_walk(base):
-        b = state.base_length
+    while state.m > 1:
+        top, _ = shortened_base(state)  # on the lattice of ``base``
+        b = Fraction(top, base.denom)
         if b <= p:
             return
-        top = state.cuts[-1]  # the states keep the lattice of ``base``
         pieces, _ = first_returns(cuts, shifts, times, [], top, 2, b)
+        state = return_map(pieces, base.denom)
         cuts, _, shifts, _, times = zip(*pieces)
         cuts += (top,)
         # the budget grows as the scale shrinks, so it is re-read only
@@ -456,15 +456,15 @@ def close_at_point(
 ) -> list[ClosingResult]:
     """Close orbits through shrinking neighborhoods [0, b_n) of p.
 
-    The steps share one lazy walk down the probe scales.  Each step takes
-    the next scale whose return map meets the edge quota and whose
-    first-return suspension, built from the previous step's, has an
+    The steps share one lazy walk down the scales of ``probe_walk``.  Each
+    step takes the next scale whose return map meets the edge quota and
+    whose first-return suspension, built from the previous step's, has an
     admissible edge; its twist budget is proportional to the neighborhood
     width, so successive closing parameters shrink with the neighborhoods.
-    Raises NoEdgeInNeighborhood(n) once the walk reaches a scale <= p or an
-    identity return map, below which every return map is the identity, and
-    ReturnTimeExceeded at a state whose return outgrows the budget (see
-    ``_return_maps``).
+    Raises NoEdgeInNeighborhood(n), listing the edges a singular point
+    blocked, once the walk reaches a scale <= p or an identity return map,
+    below which every return map is the identity, and ReturnTimeExceeded
+    at a state whose return outgrows the budget (see ``_return_maps``).
     """
     p = as_rational(p)
     if not 0 <= p < flow.base.base_length:

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .errors import ReduciblePermutation, TieEncountered
 from .iet import Iet, RationalLike, as_rational, make_iet
-from .induction import first_returns, induce, is_irreducible, rauzy_step, return_map
+from .induction import induce, is_irreducible
 
 DEFAULT_WITNESS_GAP = Fraction(1, 10**6)
 
@@ -212,56 +211,53 @@ _CERTIFIED_NOTE = (
 )
 
 
+def shortened_base(state: Iet) -> tuple[int, bool]:
+    """The next base of the probe walk on the lattice of ``state`` (m >= 2),
+    b - min(L_last, L_beta) with beta the interval whose image is last, as
+    in a Rauzy move, and whether no Rauzy move reaches it (a tie or a
+    reducible permutation).  Every point returns to it within two steps."""
+    cuts, m = state.cuts, state.m
+    beta = state.permutation.index(m)
+    l_last, l_beta = cuts[m] - cuts[m - 1], cuts[beta + 1] - cuts[beta]
+    tie = l_last == l_beta or not is_irreducible(state.permutation)
+    return cuts[m] - min(l_last, l_beta), tie
+
+
 def probe_walk(iet: Iet) -> Iterator[tuple[Iet, bool]]:
-    """The Rauzy states of ``iet``, lazily, ending after an identity map,
-    each with whether the walk has passed a tie or a reducible permutation.
-
-    Each state is the first-return map of the previous one to its own base
-    (see ``check_induction_consistency``), on the lattice of ``iet``.  At a
-    tie or a reducible permutation the walk takes the first return to
-    b - min(L_last, L_beta), beta being the interval whose image is last;
-    every point returns within two steps, as in a Rauzy move.
-    """
-    current = iet
-    tied = False
+    """Chained first returns of ``iet`` to the bases of ``shortened_base``,
+    on its lattice, lazily, ending after an identity map, each with whether
+    the walk has passed a tie or a reducible permutation.  Away from those
+    the states are the Rauzy states, which ``rauzy_step`` computes by an
+    independent route (see ``check_induction_consistency``)."""
+    current, tied = iet, False
     while current.m > 1:
-        try:
-            current, _ = rauzy_step(current)
-        except (TieEncountered, ReduciblePermutation):
-            cuts, beta = current.cuts, current.permutation.index(current.m)
-            top = cuts[-1] - min(cuts[-1] - cuts[-2], cuts[beta + 1] - cuts[beta])
-            scale = Fraction(top, current.denom)
-            pieces, _ = first_returns(cuts, current.shifts, [0] * current.m, [], top, 2, scale)
-            current = return_map(pieces, current.denom)
-            tied = True
+        top, tie = shortened_base(current)
+        tied = tied or tie
+        current = induce(current, Fraction(top, current.denom), 2).induced
         yield current, tied
-
-
-def _walk_scales(iet: Iet, depth: int) -> Iterator[tuple[Fraction, bool]]:
-    """The first ``depth`` scales of ``probe_walk``, lazily, each with
-    whether the walk has passed a tie."""
-    return ((state.base_length, tied) for state, tied in islice(probe_walk(iet), depth))
 
 
 def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
     """The first ``depth`` scales of ``probe_walk`` and whether the walk
     passed a tie or a reducible permutation within them."""
-    walk = list(_walk_scales(iet, depth))
-    return [b for b, _ in walk], any(tied for _, tied in walk)
+    walk = list(islice(probe_walk(iet), depth))
+    return [state.base_length for state, _ in walk], any(tied for _, tied in walk)
 
 
-def _probe_entries(iet: Iet, threshold: int, walk) -> Iterator[tuple[ProbeEntry, bool]]:
-    """Edge counts of the first-return maps at each (scale, tie flag) of
-    ``walk``, one per scale, lazily, each with its tie flag.
+def _chained_returns(iet: Iet, scales: list[Fraction]) -> Iterator[tuple[Iet, bool]]:
+    """First-return maps of ``iet`` to the decreasing ``scales``, each
+    induced from the one before, lazily, with tie flags off."""
+    for b in scales:
+        iet = induce(iet, b).induced
+        yield iet, False
 
-    Consecutive inductions are chained: the return map to a smaller base
-    factors through the return map to any larger one.
-    """
-    current = iet
-    for b, tied in walk:
-        current = induce(current, b).induced
-        count, _ = max_disjoint_edges(current, with_witness=False)
-        yield ProbeEntry(b, count, count >= threshold), tied
+
+def _probe_entries(threshold: int, walk) -> Iterator[tuple[ProbeEntry, bool]]:
+    """Edge counts of the return maps of ``walk``, (state, tie flag) pairs,
+    lazily, each with its tie flag."""
+    for state, tied in walk:
+        count, _ = max_disjoint_edges(state, with_witness=False)
+        yield ProbeEntry(state.base_length, count, count >= threshold), tied
 
 
 def probe_edge_criterion(
@@ -290,15 +286,15 @@ def probe_edge_criterion(
                 raise ValueError("scales must be strictly decreasing")
         if resolved[0] > iet.base_length or resolved[-1] <= 0:
             raise ValueError("scales must lie in (0, base]")
-        walk = ((b, False) for b in resolved)
+        walk = _chained_returns(iet, resolved)
     else:
-        walk = _walk_scales(iet, depth)
+        walk = islice(probe_walk(iet), depth)
 
-    # the walk advances with the scan: no Rauzy step past the first failure;
-    # a tie flag never turns back off, so the last one covers the sweep
+    # the walk advances with the scan: no first return past the first
+    # failure; a tie flag never turns back off, so the last one covers the sweep
     probes: list[ProbeEntry] = []
     tie = False
-    for entry, tie in _probe_entries(iet, criterion.threshold, walk):
+    for entry, tie in _probe_entries(criterion.threshold, walk):
         probes.append(entry)
         if not entry.passed:
             break
@@ -401,7 +397,7 @@ def _probe_sample(job) -> SampleOutcome:
     index, iet, threshold, depth = job
     entries = []
     tie = False  # the last tie flag covers the sweep
-    for entry, tie in _probe_entries(iet, threshold, _walk_scales(iet, depth)):
+    for entry, tie in _probe_entries(threshold, islice(probe_walk(iet), depth)):
         entries.append(entry)
     passed = [e.passed for e in entries]
     if any(passed):

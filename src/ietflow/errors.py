@@ -80,5 +80,5 @@ class NoEdgeInNeighborhood(IetError):
         self.blocked = tuple(blocked)
         msg = f"no admissible virtual edge at shrink step {step}"
         if self.blocked:
-            msg += "; blocked candidates: " + ", ".join(str(b) for b in self.blocked)
+            msg += f"; blocked candidates: {len(self.blocked)}"
         super().__init__(msg)

@@ -81,12 +81,13 @@ def default_return_budget(parent: Iet, b: Fraction) -> int:
     return 10 * (parent.m + base_over_b + 1)
 
 
-def induction_base(parent: Iet, b: RationalLike) -> Fraction:
-    """``b`` as a Fraction, checked to lie in (0, base length]."""
-    b = as_rational(b)
-    if b <= 0 or b > parent.base_length:
+def induction_top(parent: Iet, b: Fraction, denom: int) -> int:
+    """The numerator of ``b`` over ``denom``, a multiple of its denominator,
+    checked against the parent's lattice to lie in (0, base length]."""
+    top = b.numerator * (denom // b.denominator)
+    if top <= 0 or top * parent.denom > parent.cuts[-1] * denom:
         raise ValueError(f"induction base {b} outside (0, {parent.base_length}]")
-    return b
+    return top
 
 
 def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, scale: Fraction):
@@ -157,19 +158,18 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
     Raises ReturnTimeExceeded when a piece fails to return within the
     budget (b chosen pathologically small).
     """
-    b = induction_base(parent, b)
+    # lift the parent's lattice to b's denominator: every cut, offset and
+    # piece end below is an integer multiple of 1/denom
+    b = as_rational(b)
+    denom = math.lcm(b.denominator, parent.denom)
+    top = induction_top(parent, b, denom)
     if max_steps is None:
         max_steps = default_return_budget(parent, b)
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-
-    # lift the parent's lattice to b's denominator: every cut, offset and
-    # piece end below is an integer multiple of 1/denom
-    denom = math.lcm(b.denominator, parent.denom)
     lift = denom // parent.denom
     cuts = [c * lift for c in parent.cuts]
     shifts = [t * lift for t in parent.shifts]
-    top = b.numerator * (denom // b.denominator)
     pieces, _ = first_returns(cuts, shifts, [0] * parent.m, [], top, max_steps, b)
 
     # return-time partition: merge neighbours agreeing on translation and

@@ -411,7 +411,9 @@ class TestPinnedBytes:
     The ``close`` rows were re-pinned when closing moved to the Rauzy
     scales, after every closing of the pool in ``tests/test_closing.py``
     was re-validated; the m3 flow closes twice and then finds every edge
-    at 77/1000 blocked by the pulled-back singular point 209/7000."""
+    at 77/1000 blocked by the pulled-back singular point 209/7000.  Its
+    stderr counts the blocked candidates; ``tests/test_closing.py`` checks
+    the candidates themselves on the error."""
 
     @pytest.mark.parametrize(
         "argv, code, stdout_sha256, stderr",
@@ -433,8 +435,7 @@ class TestPinnedBytes:
                 2,
                 hashlib.sha256(b"").hexdigest(),
                 "NoEdgeInNeighborhood: no admissible virtual edge at shrink step 3; "
-                "blocked candidates: (VirtualEdge(s=Fraction(7, 500), e1=Fraction(4, 125), "
-                "t=Fraction(1, 20)), Fraction(209, 7000))\n",
+                "blocked candidates: 1\n",
             ),
             (
                 ["rauzy", "--input", "m4.json", "--depth", "25", "--cross-check"],

@@ -292,6 +292,16 @@ class TestCloseAtPoint:
             close_at_point(flow, 0, ClosingCriterion(-3, 1), 1)
         assert info.value.step == 1
         assert info.value.blocked  # diagnostic lists blocked edges
+        assert str(info.value).endswith(f"; blocked candidates: {len(info.value.blocked)}")
+
+    def test_blocked_candidates_stay_on_the_error(self):
+        # the message gives a count; the candidates themselves are kept
+        base = make_iet([F(412, 1000), F(271, 1000), F(317, 1000)], [3, 2, 1])
+        flow = SuspensionFlow(base, (F(2), F(1), F(3)), (F(1, 7),))
+        with pytest.raises(NoEdgeInNeighborhood) as info:
+            close_at_point(flow, 0, ClosingCriterion(-3, 1), 3)
+        assert info.value.step == 3
+        assert info.value.blocked == ((VirtualEdge(F(7, 500), F(4, 125), F(1, 20)), F(209, 7000)),)
 
     def test_induced_suspension_accumulates(self):
         flow = tenth_flow()

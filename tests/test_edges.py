@@ -29,8 +29,8 @@ from ietflow.edges import (
     sample_iet,
     sample_uniform_iet,
 )
-from ietflow.errors import ReturnTimeExceeded
-from ietflow.induction import induce
+from ietflow.errors import ReduciblePermutation, ReturnTimeExceeded, TieEncountered
+from ietflow.induction import induce, rauzy_step
 from ietflow.serialize import dump_iet
 from .test_iet_core import random_iet, rotation
 
@@ -263,13 +263,18 @@ class TestProbe:
         assert "probed scales" in report.note
 
 
+def lattice(iet):
+    return iet.denom, iet.cuts, iet.shifts
+
+
 class TestProbeWalk:
     @pytest.mark.parametrize("sampler", [sample_iet, sample_uniform_iet])
     def test_walk_invariants_on_seeded_exchanges(self, sampler):
-        # every step is the first return of the previous state to its base,
-        # within two steps, Rauzy move or tie continuation alike
+        # the walk steps by first returns; wherever a Rauzy move is defined,
+        # ``rauzy_step`` reaches the same state on the same lattice by an
+        # independent route, and the tie flag turns on where it is not
         rng = random.Random(12)
-        raised = 0
+        raised = moves = continued = 0
         for i in range(48):
             iet, _ = sampler(rng, 2 + i % 4, (60, 1000, 10**6)[i // 4 % 3])
             walk = list(probe_walk(iet))
@@ -280,20 +285,35 @@ class TestProbeWalk:
             assert walk[-1][1]
             scales = [state.base_length for state, _ in walk]
             assert all(a > b for a, b in zip([iet.base_length] + scales, scales))
-            previous = iet
-            for state, _ in walk:
-                res = induce(previous, state.base_length)
-                assert res.induced == state and max(res.return_times) <= 2
+            previous, tied = iet, False
+            for state, flag in walk:
+                try:
+                    rauzy, _ = rauzy_step(previous)
+                except (TieEncountered, ReduciblePermutation):
+                    tied = True
+                    continued += 1
+                else:
+                    assert lattice(state) == lattice(rauzy)
+                    moves += 1
+                assert state.denom == iet.denom and flag == tied
                 previous = state
             maps = _return_maps(iet, 0)
             try:
                 for state, _ in walk:
-                    assert next(maps) == state
+                    assert lattice(next(maps)) == lattice(state)
             except ReturnTimeExceeded:
                 raised += 1
                 continue
             assert next(maps, None) is None
         assert 0 < raised < 48
+        assert moves > continued > 0
+
+    def test_reducible_exchange_walks_as_past_a_tie(self):
+        # no Rauzy move is defined on [2, 1, 4, 3], though its comparands
+        # 3/8 and 1/8 differ: the first step is already flagged
+        iet = make_iet([F(1, 4), F(1, 4), F(1, 8), F(3, 8)], [2, 1, 4, 3])
+        walk = [(state.base_length, tied) for state, tied in probe_walk(iet)]
+        assert walk == [(F(k, 8), True) for k in (7, 6, 5, 4, 2)]
 
 
 class TestMeasure:
@@ -377,6 +397,19 @@ class TestMeasure:
         ]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "ce5c76cc15aa1c1eae82c274ed673bfce26bcb24e52d57348c871ba9c2cae96d"
+
+    def test_tie_heavy_configuration_is_pinned(self):
+        # three samples in four pass a tie within 32 scales; values recorded
+        # before the walk stepped by first returns alone
+        report = estimate_full_measure(3, ClosingCriterion(-3, 1), 32, 200, 7, resolution=1000)
+        assert report.counts == {"certified_to_depth": 159, "refuted_at_depth": 21, "undecided_tie": 20}
+        assert sum(s.tie for s in report.per_sample) == 150
+        rows = [
+            (s.verdict, s.scales_probed, s.scales_passed, s.first_pass_index, s.tie)
+            for s in report.per_sample
+        ]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "8e378a49de5480218850cabc079254e894fea2bf20c1f0b1688d1c147dacc031"
 
     def test_worker_pool_matches_sequential(self):
         crit = ClosingCriterion(-3, 1)

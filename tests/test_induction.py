@@ -12,6 +12,7 @@ from ietflow import (
     Iet,
     ReduciblePermutation,
     ReturnTimeExceeded,
+    SuspensionFlow,
     TieEncountered,
     check_induction_consistency,
     identity_iet,
@@ -21,6 +22,7 @@ from ietflow import (
     rauzy_step,
     rescale,
 )
+from ietflow.closing import induced_suspension
 from ietflow.edges import default_probe_scales, probe_walk
 from ietflow.induction import default_return_budget, first_returns
 from .test_iet_core import random_iet, rotation
@@ -206,6 +208,23 @@ class TestIntegerPath:
             assert_matches_oracle(previous, b, res)
             assert res.induced == state and max(res.return_times) <= 2
             assert math.lcm(*(x.denominator for x in (*state.lengths, *state.translations))) == 500
+
+    @pytest.mark.parametrize("denom", [6, 6 * 10**9])
+    def test_base_checked_on_the_lattice(self, denom):
+        # the lattice need not be over the least denominator; b must lie in
+        # (0, base] exactly, for induce and the first-return suspension alike
+        k = denom // 6
+        parent = Iet.from_lattice(denom, [0, 4 * k, 6 * k], [2 * k, -4 * k])
+        flow = SuspensionFlow(parent, (F(1), F(2)))
+        for b in (F(1), F(1, 7), F(1, 10**9)):
+            assert induce(parent, b).induced.base_length == b
+            assert induced_suspension(flow, b).base.base_length == b
+        for b in (F(1) + F(1, 10**12), F(7, 6), F(0), F(-1, 3)):
+            for call in (lambda: induce(parent, b), lambda: induced_suspension(flow, b)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == f"induction base {b} outside (0, 1]"
+        assert induce(parent, F(1, 3)).parent_base == 1
 
     def test_long_return(self):
         parent = rotation(F(1, 10))
