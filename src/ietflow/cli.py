@@ -295,7 +295,7 @@ def _build_parser() -> _Parser:
         "--cross-check",
         action="store_true",
         dest="cross_check",
-        help="also compare each step against the first-return map",
+        help="also compare each step with the state of the probe walk",
     )
     p.add_argument("--output")
 
@@ -305,7 +305,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("probe", help="depth-bounded edge-criterion probe")
     p.add_argument("--input", required=True)
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument(
+        "--depth", type=int, default=5, help="walk scales to probe; --scales are all probed"
+    )
     p.add_argument("--scales", help="comma-separated decreasing p/q scales")
     add_criterion(p)
     p.add_argument("--output")

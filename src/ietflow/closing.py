@@ -56,11 +56,11 @@ from .edges import (
     VirtualEdge,
     find_virtual_edges,
     max_disjoint_edges,
-    shortened_base,
 )
 from .iet import Iet, RationalLike, as_rational
 # unused ``induce`` is read by test_tracer_rebinds_every_import_site_and_restores_them
 from .induction import default_return_budget, first_returns, induce, induction_top, return_map
+from .induction import shortened_base
 
 SINGULAR_SNAP = 1e-12
 

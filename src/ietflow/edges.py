@@ -18,6 +18,7 @@ only asks for *some* sequence of good scales.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .iet import Iet, RationalLike, as_rational, make_iet
-from .induction import induce, is_irreducible
+from .induction import induce, is_irreducible, probe_walk
 
 DEFAULT_WITNESS_GAP = Fraction(1, 10**6)
 
@@ -211,32 +212,6 @@ _CERTIFIED_NOTE = (
 )
 
 
-def shortened_base(state: Iet) -> tuple[int, bool]:
-    """The next base of the probe walk on the lattice of ``state`` (m >= 2),
-    b - min(L_last, L_beta) with beta the interval whose image is last, as
-    in a Rauzy move, and whether no Rauzy move reaches it (a tie or a
-    reducible permutation).  Every point returns to it within two steps."""
-    cuts, m = state.cuts, state.m
-    beta = state.permutation.index(m)
-    l_last, l_beta = cuts[m] - cuts[m - 1], cuts[beta + 1] - cuts[beta]
-    tie = l_last == l_beta or not is_irreducible(state.permutation)
-    return cuts[m] - min(l_last, l_beta), tie
-
-
-def probe_walk(iet: Iet) -> Iterator[tuple[Iet, bool]]:
-    """Chained first returns of ``iet`` to the bases of ``shortened_base``,
-    on its lattice, lazily, ending after an identity map, each with whether
-    the walk has passed a tie or a reducible permutation.  Away from those
-    the states are the Rauzy states, which ``rauzy_step`` computes by an
-    independent route (see ``check_induction_consistency``)."""
-    current, tied = iet, False
-    while current.m > 1:
-        top, tie = shortened_base(current)
-        tied = tied or tie
-        current = induce(current, Fraction(top, current.denom), 2).induced
-        yield current, tied
-
-
 def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
     """The first ``depth`` scales of ``probe_walk`` and whether the walk
     passed a tie or a reducible permutation within them."""
@@ -268,12 +243,13 @@ def probe_edge_criterion(
 ) -> EdgeCriterionReport:
     """Probe the edge quota at each scale of a decreasing sequence.
 
-    Default scales are those of ``probe_walk``.  The verdict is conjunctive
-    over the probed scales: any failing scale refutes at this depth
-    (probing stops there), and so does an identity, which has no scale
-    below its base; a clean sweep is certified_to_depth, downgraded to
-    undecided_tie when the walk passed a tie within it, which
-    ``used_fallback_scales`` reports.
+    Default scales are the first ``depth`` of ``probe_walk``; explicit
+    ``scales`` are all probed, and ``depth`` is then only validated.  The
+    verdict is conjunctive over the probed scales: any failing scale
+    refutes at this depth (probing stops there), and so does an identity,
+    which has no scale below its base; a clean sweep is
+    certified_to_depth, downgraded to undecided_tie when the walk passed a
+    tie within it, which ``used_fallback_scales`` reports.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -427,7 +403,8 @@ def estimate_full_measure(
     refuted_at_depth when every scale failed and the walk passed no tie,
     undecided_tie when every scale failed past a tie or a reducible
     permutation.  Deterministic for a fixed seed; worker parallelism does
-    not change the output (results are assembled in sample order).
+    not change the output (results are assembled in sample order).  The
+    pool has at most ``min(workers, samples, os.cpu_count())`` processes.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -443,6 +420,8 @@ def estimate_full_measure(
         reducible_draws += rejected
         jobs.append((index, iet, criterion.threshold, depth))
 
+    # a fork pool starts all its workers at the first submit
+    workers = min(workers, samples, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

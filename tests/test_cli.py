@@ -462,6 +462,15 @@ class TestPinnedBytes:
                 "",
             ),
         ],
+        ids=[
+            "close-tenth-at-0",
+            "close-tenth-at-1_7",
+            "close-m3-blocked",
+            "rauzy-m4-cross-check",
+            "induce-m4-b-1",
+            "induce-m4-b-1_3-over-budget",
+            "induce-m4-b-1_3-max-steps-2000",
+        ],
     )
     def test_pinned_invocation(
         self, pinned_inputs, monkeypatch, capsys, argv, code, stdout_sha256, stderr

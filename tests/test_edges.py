@@ -1,8 +1,10 @@
 """Virtual edge search, disjoint packing, criterion probes, measure scan."""
 
+import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import random
 from fractions import Fraction as F
 
@@ -416,4 +418,36 @@ class TestMeasure:
         seq = estimate_full_measure(3, crit, depth=3, samples=16, seed=13, resolution=500)
         par = estimate_full_measure(3, crit, depth=3, samples=16, seed=13, resolution=500, workers=2)
         assert seq.counts == par.counts
+        assert seq.per_sample == par.per_sample
+
+    @pytest.mark.parametrize(
+        "workers, samples, cpus, pool_size",
+        [(64, 2, 8, 2), (64, 10, 3, 3), (2, 10, 8, 2), (64, 10, None, None), (4, 1, 8, None)],
+    )
+    def test_worker_pool_is_bounded(self, monkeypatch, workers, samples, cpus, pool_size):
+        # a fork pool starts every worker at the first submit, so the pool
+        # is capped by the samples and the CPUs; the fake pool maps in-process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        crit = ClosingCriterion(-3, 1)
+        seq = estimate_full_measure(3, crit, depth=3, samples=samples, seed=13, resolution=500)
+        par = estimate_full_measure(
+            3, crit, depth=3, samples=samples, seed=13, resolution=500, workers=workers
+        )
+        assert sizes == ([] if pool_size is None else [pool_size])
         assert seq.per_sample == par.per_sample

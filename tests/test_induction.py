@@ -22,9 +22,10 @@ from ietflow import (
     rauzy_step,
     rescale,
 )
+from ietflow import induction
 from ietflow.closing import induced_suspension
-from ietflow.edges import default_probe_scales, probe_walk
-from ietflow.induction import default_return_budget, first_returns
+from ietflow.edges import default_probe_scales
+from ietflow.induction import default_return_budget, first_returns, probe_walk
 from .test_iet_core import random_iet, rotation
 
 
@@ -473,3 +474,12 @@ class TestInductionConsistency:
         report = check_induction_consistency(parent, 6)
         assert len(report.entries) == 6
         assert not any(e.passed for e in report.entries)
+
+    def test_walk_that_skips_a_state_fails(self, monkeypatch):
+        # the cross-check reads the walk that probe and measure run, so a
+        # walk that loses its first state no longer matches the Rauzy states
+        parent = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
+        walk = induction.probe_walk
+        assert len(check_induction_consistency(parent, 6).entries) == 6
+        monkeypatch.setattr(induction, "probe_walk", lambda iet: islice(walk(iet), 1, None))
+        assert not check_induction_consistency(parent, 6).all_passed
