@@ -372,7 +372,8 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
     denom = math.lcm(b.denominator, *(x.denominator for x in (*part, *flow.singular_points)))
     top = induction_top(base, b, denom)
     cuts = [x.numerator * (denom // x.denominator) for x in part]
-    pieces = [bisect.bisect_right(base.breakpoints, x) - 1 for x in part[:-1]]
+    # a cut c over denom lies in the piece of its floor on base's lattice
+    pieces = [bisect.bisect_right(base.cuts, c * base.denom // denom) - 1 for c in cuts[:-1]]
     shifts = [base.shifts[i] * denom // base.denom for i in pieces]
     sing = [q.numerator * (denom // q.denominator) for q in flow.singular_points]
     rden = math.lcm(*(r.denominator for r in flow.roof))
@@ -406,9 +407,9 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
     budget = 0
     while state.m > 1:
         top, _ = shortened_base(state)  # on the lattice of ``base``
-        b = Fraction(top, base.denom)
-        if b <= p:
+        if top * p.denominator <= p.numerator * base.denom:  # b <= p
             return
+        b = Fraction(top, base.denom)
         pieces, _ = first_returns(cuts, shifts, times, [], top, 2, b)
         state = return_map(pieces, base.denom)
         cuts, _, shifts, _, times = zip(*pieces)
@@ -477,10 +478,10 @@ def close_at_point(
     for n in range(1, shrink_steps + 1):
         blocked: list = []
         for induced in maps:
-            b = induced.base_length
             count, _ = max_disjoint_edges(induced, with_witness=False)
             if count < criterion.threshold:
                 continue
+            b = induced.base_length
             flow_n = induced_suspension(flow, b)
             edge = _pick_admissible_edge(flow_n, blocked)
             if edge is not None:

@@ -371,20 +371,20 @@ def sample_iet(rng: random.Random, m: int, resolution: int) -> tuple[Iet, int]:
 def _probe_sample(job) -> SampleOutcome:
     """Worker body: the visit-based outcome of one sampled exchange."""
     index, iet, threshold, depth = job
-    entries = []
+    probed = passed = 0
+    first = None
     tie = False  # the last tie flag covers the sweep
-    for entry, tie in _probe_entries(threshold, islice(probe_walk(iet), depth)):
-        entries.append(entry)
-    passed = [e.passed for e in entries]
-    if any(passed):
+    for state, tie in islice(probe_walk(iet), depth):
+        probed += 1
+        count, _ = max_disjoint_edges(state, with_witness=False)
+        if count >= threshold:
+            passed += 1
+            first = first or probed
+    if passed:
         verdict = "certified_to_depth"
-        first = passed.index(True) + 1
     else:
         verdict = "undecided_tie" if tie else "refuted_at_depth"
-        first = None
-    return SampleOutcome(
-        index, iet.lengths, iet.permutation, verdict, len(entries), sum(passed), first, tie
-    )
+    return SampleOutcome(index, iet.lengths, iet.permutation, verdict, probed, passed, first, tie)
 
 
 def estimate_full_measure(

@@ -5,10 +5,11 @@ interval that translates each of finitely many subintervals.  It is stored
 on one integer lattice: a common denominator, the cuts (the breakpoints
 times it) and the shifts (the translations times it).  Every exchange, from
 lengths and a permutation or from a kernel's pieces, goes through one core,
-``Iet.from_lattice``: it merges neighbours with equal shift, whose images
-abut, so the stored breakpoints are exactly the discontinuities of the
-map; it ranks the image starts into the permutation; and it checks that
-the images tile the base.
+``Iet.from_lattice``.  In one pass over the cuts it checks that they
+increase from 0 and merges neighbours with equal shift, whose images abut,
+so the stored breakpoints are exactly the discontinuities of the map.  It
+then ranks the image starts, sorted as (start, index) pairs, into the
+permutation, checking on the way that the images tile the base.
 
 Every public value is a ``Fraction`` in lowest terms, built from the
 lattice on first read, then cached.  Rauzy moves, first returns and the
@@ -65,7 +66,9 @@ class Iet:
     An exchange is stored as its integer lattice: ``denom`` is a common
     denominator (not necessarily the least one), ``cuts`` are the
     breakpoints times ``denom`` and ``shifts[i]`` is the translation of
-    subinterval i times ``denom``.  Kernel code reads these.  The public
+    subinterval i times ``denom``.  Kernel code reads these.  Construction
+    checks the cuts and merges equal-shift neighbours in one pass, then
+    ranks the images by one sort (see ``from_lattice``).  The public
     ``Fraction`` values ``lengths``, ``breakpoints``, ``translations`` and
     ``base_length`` are built from the lattice on first read and cached;
     equality and hashing compare the lattice over its least denominator,
@@ -110,34 +113,51 @@ class Iet:
     def from_lattice(cls, denom: int, cuts: Sequence[int], shifts: Sequence[int]) -> Iet:
         """The canonical exchange moving [cuts[i], cuts[i + 1]) by shifts[i],
         over ``denom``; neighbours with equal shift merge.  Raises NotInduced
-        unless the cuts increase from 0 and the images tile [0, cuts[-1])."""
+        unless there is one cut more than shifts, the cuts increase from 0
+        and the images tile [0, cuts[-1])."""
         iet = object.__new__(cls)
         iet._set_lattice(denom, cuts, shifts)
         return iet
 
     def _set_lattice(self, denom: int, cuts: Sequence[int], shifts: Sequence[int]) -> None:
-        if cuts[0] != 0 or any(lo >= hi for lo, hi in zip(cuts, cuts[1:])):
+        if len(cuts) != len(shifts) + 1:
+            raise NotInduced(
+                f"{len(cuts)} cuts for {len(shifts)} shifts: need one cut more than shifts"
+            )
+        # one pass: the cuts must increase from 0, and neighbours with equal
+        # shift merge (their images abut, so the breakpoint between them is
+        # removable); each merged piece's image start is noted with its index
+        lo = cuts[0]
+        if lo != 0 or not shifts:
             raise NotInduced(f"cuts {list(cuts)} over {denom} do not increase from 0")
-        # neighbours with equal shift have abutting images, so the
-        # breakpoint between them is removable
-        keep = [i for i in range(1, len(shifts)) if shifts[i] != shifts[i - 1]]
-        cuts = (0, *(cuts[i] for i in keep), cuts[-1])
-        shifts = (shifts[0], *(shifts[i] for i in keep))
+        out_cuts, out_shifts, starts = [0], [], []
+        prev = None
+        for hi, s in zip(cuts[1:], shifts):
+            if hi <= lo:
+                raise NotInduced(f"cuts {list(cuts)} over {denom} do not increase from 0")
+            if s == prev:
+                out_cuts[-1] = hi
+            else:
+                starts.append((lo + s, len(out_shifts)))
+                out_cuts.append(hi)
+                out_shifts.append(s)
+                prev = s
+            lo = hi
         # rank the image starts; the images must tile [0, base)
-        starts = [c + s for c, s in zip(cuts, shifts)]
-        perm = [0] * len(shifts)
+        starts.sort()
+        perm = [0] * len(out_shifts)
         end = 0
-        for rank, i in enumerate(sorted(range(len(shifts)), key=starts.__getitem__), start=1):
-            if starts[i] != end:
-                where = "overlap" if starts[i] < end else "leave a gap"
-                raise NotInduced(f"images {where} at {Fraction(min(starts[i], end), denom)}")
-            end = cuts[i + 1] + shifts[i]
+        for rank, (start, i) in enumerate(starts, start=1):
+            if start != end:
+                where = "overlap" if start < end else "leave a gap"
+                raise NotInduced(f"images {where} at {Fraction(min(start, end), denom)}")
+            end = out_cuts[i + 1] + out_shifts[i]
             perm[i] = rank
 
         object.__setattr__(self, "permutation", tuple(perm))
         object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "cuts", tuple(out_cuts))
+        object.__setattr__(self, "shifts", tuple(out_shifts))
 
     def __getattr__(self, name: str):
         # reached only for an unset slot: the public Fractions are built

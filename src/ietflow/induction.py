@@ -41,12 +41,14 @@ class InducedResult:
     """First-return map of ``parent`` to [0, b) plus return-time data.
 
     ``ends`` are the integer ends of the return-time pieces, from 0 to the
-    base, on the lattice of ``induced`` (over ``induced.denom``); the
-    ``Fraction`` views ``pieces``, ``parent_break_hits`` and ``kac_total``
-    are built from them when read.  ``pieces`` refines the canonical
-    intervals of ``induced``: an induction cut can make two pieces with
-    different return times carry the same translation, in which case the
-    canonical map merges them but the return times stay distinct.
+    base, and ``parent_top`` is the parent's base length, both on the
+    lattice of ``induced`` (over ``induced.denom``); the ``Fraction`` views
+    ``pieces``, ``parent_break_hits``, ``kac_total`` and ``parent_base``
+    are built from them when read, and ``covers_parent`` compares
+    integers.  ``pieces`` refines the canonical intervals of ``induced``:
+    an induction cut can make two pieces with different return times carry
+    the same translation, in which case the canonical map merges them but
+    the return times stay distinct.
     ``return_times[i]`` is the number of parent steps after which points
     of ``pieces[i]`` first re-enter [0, b).
     """
@@ -54,7 +56,11 @@ class InducedResult:
     induced: Iet
     return_times: tuple[int, ...]
     ends: tuple[int, ...]
-    parent_base: Fraction
+    parent_top: int  # the parent's base length over ``induced.denom``
+
+    @property
+    def parent_base(self) -> Fraction:
+        return Fraction(self.parent_top, self.induced.denom)
 
     @property
     def pieces(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -65,17 +71,19 @@ class InducedResult:
     def parent_break_hits(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(e, self.induced.denom) for e in self.ends[1:-1])
 
+    def _kac_numerator(self) -> int:
+        ends = self.ends
+        return sum((hi - lo) * k for lo, hi, k in zip(ends, ends[1:], self.return_times))
+
     @property
     def kac_total(self) -> Fraction:
         """Sum of return_time * piece length; equals the parent base length
         exactly when the return orbits sweep the whole parent interval."""
-        ends = self.ends
-        total = sum((hi - lo) * k for lo, hi, k in zip(ends, ends[1:], self.return_times))
-        return Fraction(total, self.induced.denom)
+        return Fraction(self._kac_numerator(), self.induced.denom)
 
     @property
     def covers_parent(self) -> bool:
-        return self.kac_total == self.parent_base
+        return self._kac_numerator() == self.parent_top
 
 
 def default_return_budget(parent: Iet, b: Fraction) -> int:
@@ -162,7 +170,8 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
     budget (b chosen pathologically small).
     """
     # lift the parent's lattice to b's denominator: every cut, offset and
-    # piece end below is an integer multiple of 1/denom
+    # piece end below is an integer multiple of 1/denom; a walk step's b
+    # sits on the parent's lattice, which is then read as it is
     b = as_rational(b)
     denom = math.lcm(b.denominator, parent.denom)
     top = induction_top(parent, b, denom)
@@ -171,26 +180,30 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     lift = denom // parent.denom
-    cuts = [c * lift for c in parent.cuts]
-    shifts = [t * lift for t in parent.shifts]
+    cuts, shifts = parent.cuts, parent.shifts
+    if lift != 1:
+        cuts = [c * lift for c in cuts]
+        shifts = [t * lift for t in shifts]
     pieces, _ = first_returns(cuts, shifts, [0] * parent.m, [], top, max_steps, b)
 
     # return-time partition: merge neighbours agreeing on translation and
     # time; the canonical map merges on translation alone, so an induction
     # cut that leaves neighbours continuous as a map yet with distinct
     # return times makes the pieces genuinely refine the canonical intervals
-    merged: list[list[int]] = []
-    for lo, hi, off, steps, _ in pieces:
-        if merged and merged[-1][2] == off and merged[-1][3] == steps:
-            merged[-1][1] = hi
+    ends, offsets, times = [0], [], []
+    for _, hi, off, steps, _ in pieces:
+        if times and offsets[-1] == off and times[-1] == steps:
+            ends[-1] = hi
         else:
-            merged.append([lo, hi, off, steps])
+            ends.append(hi)
+            offsets.append(off)
+            times.append(steps)
 
     return InducedResult(
-        induced=return_map(merged, denom),
-        return_times=tuple(p[3] for p in merged),
-        ends=(*(p[0] for p in merged), top),
-        parent_base=parent.base_length,
+        induced=Iet.from_lattice(denom, ends, offsets),
+        return_times=tuple(times),
+        ends=tuple(ends),
+        parent_top=cuts[-1],
     )
 
 

@@ -227,6 +227,31 @@ class TestIntegerPath:
                 assert str(info.value) == f"induction base {b} outside (0, 1]"
         assert induce(parent, F(1, 3)).parent_base == 1
 
+    def test_parent_base_after_a_lift(self):
+        # b's denominator does not divide the parent's, so the induced map
+        # sits on a finer lattice; the parent base read back from it is
+        # the parent's base length in lowest terms
+        rng = random.Random(29)
+        lifted = 0
+        for _ in range(300):
+            parent = random_iet(rng, rng.randint(2, 5))
+            b = parent.base_length * F(rng.randint(1, 99), rng.randint(100, 130))
+            res = induce(parent, b, 10**4)
+            lifted += res.induced.denom != parent.denom
+            assert res.parent_base == parent.base_length
+            assert_lowest_terms([res.parent_base])
+        assert lifted > 250
+
+    def test_covers_parent(self):
+        m4 = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
+        res = induce(m4, F(1, 3), max_steps=2000)
+        assert res.covers_parent and res.kac_total == 1
+        # [0, 1/2) is invariant under the reducible [2, 1, 4, 3]: no return
+        # orbit visits [1/2, 1)
+        reducible = make_iet([F(1, 5), F(3, 10), F(1, 10), F(2, 5)], [2, 1, 4, 3])
+        res = induce(reducible, F(1, 2))
+        assert not res.covers_parent and res.kac_total == F(1, 2)
+
     def test_long_return(self):
         parent = rotation(F(1, 10))
         b = F(1, 1000)

@@ -228,6 +228,76 @@ class TestLatticeChecks:
             Iet.from_lattice(4, [1, 2, 4], [1, -1])
 
 
+def lattice_of(denom, lengths, perm):
+    """Cuts and shifts of the exchange with integer ``lengths`` over
+    ``denom`` and 1-indexed ``perm``, without merging anything."""
+    cuts = [0]
+    for x in lengths:
+        cuts.append(cuts[-1] + x)
+    image_start, acc = {}, 0
+    for i in sorted(range(len(lengths)), key=perm.__getitem__):
+        image_start[i] = acc
+        acc += lengths[i]
+    return cuts, [image_start[i] - cuts[i] for i in range(len(lengths))]
+
+
+class TestOnePassCore:
+    """``Iet.from_lattice`` checks the cuts and merges in one pass, then
+    ranks the images; it must agree with the (lengths, permutation)
+    construction and keep every error message."""
+
+    def test_matches_lengths_and_permutation(self):
+        rng = random.Random(28)
+        merged = 0
+        for n in range(1500):
+            m = rng.randint(1, 7)
+            fractions, perm = draw(rng, m, force_runs=n % 2 == 0)
+            denom = math.lcm(*(x.denominator for x in fractions)) * rng.randint(1, 5)
+            lengths = [int(x * denom) for x in fractions]
+            cuts, shifts = lattice_of(denom, lengths, perm)
+            core = Iet.from_lattice(denom, cuts, shifts)
+            expected = Iet(fractions, perm)
+            assert core == expected, (denom, cuts, shifts)
+            assert core.denom == denom
+            ls, pm, breaks, trans = reference_exchange(fractions, perm)
+            assert (core.lengths, core.permutation) == (ls, pm)
+            assert (core.breakpoints, core.translations) == (breaks, trans)
+            merged += core.m < m
+        assert merged > 300  # equal-shift neighbours were merged
+
+    def test_each_corruption_raises_its_message(self):
+        denom, cuts, shifts = 10, [0, 2, 5, 9, 10], [8, 2, -5, -2]
+        assert Iet.from_lattice(denom, cuts, shifts).permutation == (4, 2, 1, 3)
+        for j in range(len(cuts)):
+            bad = list(cuts)
+            bad[j] = bad[j - 1] if j else 1  # equal to its left neighbour, or not 0
+            with pytest.raises(NotInduced) as info:
+                Iet.from_lattice(denom, bad, shifts)
+            assert str(info.value) == f"cuts {bad} over 10 do not increase from 0"
+        with pytest.raises(NotInduced) as info:
+            Iet.from_lattice(denom, [0], [])  # no piece at all
+        assert str(info.value) == "cuts [0] over 10 do not increase from 0"
+        bad = [0, 5, 2, 9, 10]  # decreasing inside
+        with pytest.raises(NotInduced, match=r"^cuts \[0, 5, 2, 9, 10\] over 10 do not"):
+            Iet.from_lattice(denom, bad, shifts)
+        with pytest.raises(NotInduced) as info:
+            Iet.from_lattice(denom, cuts, [8, 2, -5, -3])  # [6, 7) lies in [4, 7)
+        assert str(info.value) == "images overlap at 3/5"
+        with pytest.raises(NotInduced) as info:
+            Iet.from_lattice(denom, cuts, [8, 3, -5, -2])  # [4, 5) is left empty
+        assert str(info.value) == "images leave a gap at 2/5"
+
+    def test_length_mismatch(self):
+        # one cut too few, with equal shifts that merging would hide
+        with pytest.raises(NotInduced) as info:
+            Iet.from_lattice(4, [0, 4], [0, 0])
+        assert str(info.value) == "2 cuts for 2 shifts: need one cut more than shifts"
+        # one cut too many, which the tiling check would read as an overlap
+        with pytest.raises(NotInduced) as info:
+            Iet.from_lattice(4, [0, 1, 2, 4], [2, -1])
+        assert str(info.value) == "4 cuts for 2 shifts: need one cut more than shifts"
+
+
 class TestLatticeEquality:
     def test_equal_across_denominators(self):
         iet = Iet.from_lattice(6, [0, 4, 6], [2, -4])
