@@ -136,9 +136,7 @@ def _cmd_edges(opts: argparse.Namespace) -> int:
 
 def _cmd_probe(opts: argparse.Namespace) -> int:
     iet = load_iet(opts.input)
-    scales = None
-    if opts.scales:
-        scales = [parse_rational(s) for s in opts.scales.split(",")]
+    scales = None if opts.scales is None else [parse_rational(s) for s in opts.scales.split(",")]
     report = probe_edge_criterion(iet, _criterion(opts), opts.depth, scales)
     _emit(
         opts,

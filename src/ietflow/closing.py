@@ -20,9 +20,10 @@ negative rate and a twist parameter t in [0, sigma_max].  At the
 closing parameter the orbit through the vertex b crosses the box once and
 returns exactly to b.
 
-Box geometry stays exact rational.  The closing parameter has a closed
-form, evaluated in floating point without any search; the float twisted
-kernel re-validates it by forward integration.
+Flows are stored on integer lattices, as exchanges are, with their public
+``Fraction``s built on first read; box geometry stays exact rational.  The
+closing parameter has a closed form, evaluated in floating point without
+any search; the float twisted kernel re-validates it by forward integration.
 
 Closing walks down the scales of ``probe_walk``, chained first returns to
 shortened bases (Rauzy states away from ties, cross-checked by
@@ -30,8 +31,9 @@ shortened bases (Rauzy states away from ties, cross-checked by
 identity return map.  It also stops where a return outgrows the budget
 ``induce`` would give that scale.  A first-return suspension is built
 only at a scale whose return map meets the edge quota, from the previous
-closing's suspension.  The return times along the walk and the
-suspension's roofs are the weights of the integer kernel ``first_returns``.
+closing's suspension.  The return times along the walk and the roofs are
+the weights of the integer kernel ``first_returns``, whose pieces are the
+new flow's lattice.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     ContinuationBroken,
@@ -57,7 +60,7 @@ from .edges import (
     find_virtual_edges,
     max_disjoint_edges,
 )
-from .iet import Iet, RationalLike, as_rational
+from .iet import Iet, RationalLike, as_rational, lattice_cell
 # unused ``induce`` is read by test_tracer_rebinds_every_import_site_and_restores_them
 from .induction import default_return_budget, first_returns, induce, induction_top, return_map
 from .induction import shortened_base
@@ -65,7 +68,15 @@ from .induction import shortened_base
 SINGULAR_SNAP = 1e-12
 
 
-@dataclass(frozen=True)
+def _numerators(values, denom: int) -> tuple[int, ...]:
+    return tuple(x.numerator * (denom // x.denominator) for x in values)
+
+
+def _fractions(nums, denom: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(n, denom) for n in nums)
+
+
+@dataclass(frozen=True, init=False)
 class SuspensionFlow:
     """Roof function over an exchange plus singularity bookkeeping.
 
@@ -74,41 +85,53 @@ class SuspensionFlow:
     return flows carry accumulated roofs over their return-time pieces).
     ``singular_points`` are base points whose forward orbit is undefined;
     ``K`` is the singularity count of the modeled surface flow.
+
+    Like ``Iet``, a flow is stored as integers: ``cuts`` (the partition)
+    and ``sing`` (the sorted singular points) over ``denom``, a multiple of
+    ``base.denom``, and ``rnums``, the roofs over ``rden``.  The public
+    ``Fraction``s are built on first read, then cached; equality, hashing
+    and the repr read them.
     """
 
     base: Iet
-    roof: tuple[Fraction, ...]
-    singular_points: tuple[Fraction, ...] = ()
-    K: int = 0
-    partition: tuple[Fraction, ...] | None = None
+    roof: tuple[Fraction, ...] = cached_property(lambda f: _fractions(f.rnums, f.rden))
+    singular_points: tuple[Fraction, ...] = cached_property(lambda f: _fractions(f.sing, f.denom))
+    K: int
+    partition: tuple[Fraction, ...] = cached_property(lambda f: _fractions(f.cuts, f.denom))
 
-    def __post_init__(self):
-        part = self.partition if self.partition is not None else self.base.breakpoints
-        part = tuple(as_rational(p) for p in part)
-        object.__setattr__(self, "partition", part)
-        roof = tuple(as_rational(r) for r in self.roof)
-        object.__setattr__(self, "roof", roof)
-        sing = tuple(sorted(as_rational(q) for q in self.singular_points))
-        object.__setattr__(self, "singular_points", sing)
-        if len(roof) != len(part) - 1:
+    def __init__(self, base: Iet, roof, singular_points=(), K: int = 0, partition=None):
+        roof = [as_rational(r) for r in roof]
+        sing = [as_rational(q) for q in singular_points]
+        part = [as_rational(c) for c in partition or ()]
+        denom = math.lcm(base.denom, *(x.denominator for x in (*part, *sing)))
+        base_cuts = tuple(c * (denom // base.denom) for c in base.cuts)
+        cuts = base_cuts if partition is None else _numerators(part, denom)
+        if len(roof) != len(cuts) - 1:
             raise ValueError("need one roof value per partition cell")
-        if any(r <= 0 for r in roof):
+        if any(r.numerator <= 0 for r in roof):
             raise ValueError("roof values must be strictly positive")
-        cells = set(part)
-        if part[0] != 0 or part[-1] != self.base.base_length or list(part) != sorted(cells):
+        increasing = all(a < c for a, c in zip(cuts, cuts[1:]))
+        if cuts[0] != 0 or cuts[-1] != base_cuts[-1] or not increasing:
             raise ValueError("partition must increase from 0 to the base length")
-        if not set(self.base.breakpoints) <= cells:
+        if not set(base_cuts) <= set(cuts):
             raise ValueError("partition must refine the base breakpoints")
-        if any(q < 0 or q >= self.base.base_length for q in sing):
+        sing = tuple(sorted(_numerators(sing, denom)))
+        if sing and (sing[0] < 0 or sing[-1] >= cuts[-1]):
             raise ValueError("singular points must lie in [0, base)")
-        if self.K < 0:
+        if K < 0:
             raise ValueError("K must be >= 0")
+        rden = math.lcm(*(r.denominator for r in roof))
+        self._set(base, K, denom, cuts, sing, rden, _numerators(roof, rden))
+
+    def _set(self, *lattice) -> SuspensionFlow:
+        # unchecked: ``__init__`` and ``induced_suspension`` pass checked lattices
+        for name, value in zip(("base", "K", "denom", "cuts", "sing", "rden", "rnums"), lattice):
+            object.__setattr__(self, name, value)
+        return self
 
     def roof_at(self, x: RationalLike) -> Fraction:
-        x = as_rational(x)
-        if x < 0 or x >= self.base.base_length:
-            raise ValueError(f"{x} outside the base interval")
-        return self.roof[bisect.bisect_right(self.partition, x) - 1]
+        """Roof over x; raises OutOfDomain outside [0, base)."""
+        return self.roof[lattice_cell(self.cuts, self.denom, as_rational(x))]
 
 
 @dataclass(frozen=True)
@@ -366,27 +389,20 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
     """
     base = flow.base
     b = as_rational(b)
-    part = flow.partition
-    # translations share the breakpoints' denominator, which the partition
-    # refines, so every cut, shift and singular point lives on 1/denom
-    denom = math.lcm(b.denominator, *(x.denominator for x in (*part, *flow.singular_points)))
+    # the flow's lattice is lifted only when b's denominator does not divide it
+    denom = math.lcm(b.denominator, flow.denom)
     top = induction_top(base, b, denom)
-    cuts = [x.numerator * (denom // x.denominator) for x in part]
-    # a cut c over denom lies in the piece of its floor on base's lattice
-    pieces = [bisect.bisect_right(base.cuts, c * base.denom // denom) - 1 for c in cuts[:-1]]
-    shifts = [base.shifts[i] * denom // base.denom for i in pieces]
-    sing = [q.numerator * (denom // q.denominator) for q in flow.singular_points]
-    rden = math.lcm(*(r.denominator for r in flow.roof))
-    rnums = [r.numerator * (rden // r.denominator) for r in flow.roof]
+    lift, step = denom // flow.denom, denom // base.denom
+    cuts, sing = flow.cuts, flow.sing
+    if lift != 1:
+        cuts, sing = [c * lift for c in cuts], [q * lift for q in sing]
+    # a cell lies in one base piece: the piece of its left cut's floor on the base lattice
+    shifts = [base.shifts[bisect.bisect_right(base.cuts, c // step) - 1] * step for c in cuts[:-1]]
     budget = default_return_budget(base, b)
-    pieces, pulled = first_returns(cuts, shifts, rnums, sing, top, budget, b)
-    return SuspensionFlow(
-        base=return_map(pieces, denom),
-        roof=tuple(Fraction(piece[4], rden) for piece in pieces),
-        singular_points=tuple(Fraction(q, denom) for q in sorted(pulled)),
-        K=flow.K,
-        partition=tuple(Fraction(piece[0], denom) for piece in pieces) + (b,),
-    )
+    pieces, pulled = first_returns(cuts, shifts, flow.rnums, sing, top, budget, b)
+    ends, _, _, _, weights = zip(*pieces)
+    lattice = (denom, ends + (top,), tuple(sorted(pulled)), flow.rden, weights)
+    return object.__new__(SuspensionFlow)._set(return_map(pieces, denom), flow.K, *lattice)
 
 
 def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:

@@ -20,10 +20,9 @@ from __future__ import annotations
 import math
 import os
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
 
 from .iet import Iet, RationalLike, as_rational, make_iet
 from .induction import induce, is_irreducible, probe_walk
@@ -47,7 +46,7 @@ class VirtualEdge:
         if iet.evaluate(self.s) != self.e1 or iet.evaluate(self.e1) != self.t:
             raise ValueError(f"edge {self} does not follow the exchange")
         piece = iet.piece_index(self.s)
-        if self.t >= iet.breakpoints[piece + 1]:
+        if self.t.numerator * iet.denom >= iet.cuts[piece + 1] * self.t.denominator:
             raise ValueError(f"edge {self} leaves its continuity interval")
 
 
@@ -96,16 +95,12 @@ def find_virtual_edges(iet: Iet) -> list[EdgeFamily]:
     One family per subinterval with positive translation shorter than half
     the subinterval; empty when no edge exists.
     """
-    families = []
-    for i in range(iet.m):
-        tau = iet.translations[i]
-        if tau <= 0:
-            continue
-        lo = iet.breakpoints[i]
-        sup = iet.breakpoints[i + 1] - 2 * tau
-        if sup > lo:
-            families.append(EdgeFamily(lo, sup, tau, i))
-    return families
+    cuts, d = iet.cuts, iet.denom
+    return [
+        EdgeFamily(Fraction(cuts[i], d), Fraction(cuts[i + 1] - 2 * tau, d), Fraction(tau, d), i)
+        for i, tau in enumerate(iet.shifts)
+        if tau > 0 and cuts[i + 1] - cuts[i] > 2 * tau
+    ]
 
 
 def max_disjoint_edges(iet: Iet, with_witness: bool = True) -> tuple[int, list[VirtualEdge]]:
@@ -117,22 +112,20 @@ def max_disjoint_edges(iet: Iet, with_witness: bool = True) -> tuple[int, list[V
     shrunk if the family slack requires it); interval scheduling by right
     endpoint over the family description realizes the same count.
     """
+    # the family of subinterval i has width L - 2*tau and edge length
+    # 2*tau, read on the exchange's integer lattice
     total = 0
     witnesses: list[VirtualEdge] = []
+    cuts = iet.cuts
+    for i, tau in enumerate(iet.shifts):
+        width = cuts[i + 1] - cuts[i] - 2 * tau
+        if tau > 0 and width > 0:
+            total += _packing_count(width, 2 * tau)
     if not with_witness:
-        # the family of subinterval i has width L - 2*tau and edge length
-        # 2*tau, read on the exchange's integer lattice
-        cuts = iet.cuts
-        for i, tau in enumerate(iet.shifts):
-            width = cuts[i + 1] - cuts[i] - 2 * tau
-            if tau > 0 and width > 0:
-                total += _packing_count(width, 2 * tau)
         return total, witnesses
     for fam in find_virtual_edges(iet):
         k = fam.max_disjoint()
-        total += k
-        width = fam.s_sup - fam.s_min
-        slack = width - (k - 1) * fam.edge_length
+        slack = fam.s_sup - fam.s_min - (k - 1) * fam.edge_length
         step_gap = min(DEFAULT_WITNESS_GAP, slack / (k + 1))
         for j in range(k):
             s = fam.s_min + j * (fam.edge_length + step_gap)
@@ -219,22 +212,6 @@ def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
     return [state.base_length for state, _ in walk], any(tied for _, tied in walk)
 
 
-def _chained_returns(iet: Iet, scales: list[Fraction]) -> Iterator[tuple[Iet, bool]]:
-    """First-return maps of ``iet`` to the decreasing ``scales``, each
-    induced from the one before, lazily, with tie flags off."""
-    for b in scales:
-        iet = induce(iet, b).induced
-        yield iet, False
-
-
-def _probe_entries(threshold: int, walk) -> Iterator[tuple[ProbeEntry, bool]]:
-    """Edge counts of the return maps of ``walk``, (state, tie flag) pairs,
-    lazily, each with its tie flag."""
-    for state, tied in walk:
-        count, _ = max_disjoint_edges(state, with_witness=False)
-        yield ProbeEntry(state.base_length, count, count >= threshold), tied
-
-
 def probe_edge_criterion(
     iet: Iet,
     criterion: ClosingCriterion,
@@ -262,7 +239,9 @@ def probe_edge_criterion(
                 raise ValueError("scales must be strictly decreasing")
         if resolved[0] > iet.base_length or resolved[-1] <= 0:
             raise ValueError("scales must lie in (0, base]")
-        walk = _chained_returns(iet, resolved)
+        # each scale's first return is induced from the one before, tie flags off
+        chain = accumulate(resolved, lambda state, b: induce(state, b).induced, initial=iet)
+        walk = zip(islice(chain, 1, None), repeat(False))
     else:
         walk = islice(probe_walk(iet), depth)
 
@@ -270,9 +249,10 @@ def probe_edge_criterion(
     # failure; a tie flag never turns back off, so the last one covers the sweep
     probes: list[ProbeEntry] = []
     tie = False
-    for entry, tie in _probe_entries(criterion.threshold, walk):
-        probes.append(entry)
-        if not entry.passed:
+    for state, tie in walk:
+        count, _ = max_disjoint_edges(state, with_witness=False)
+        probes.append(ProbeEntry(state.base_length, count, count >= criterion.threshold))
+        if not probes[-1].passed:
             break
     if not probes or not probes[-1].passed:
         verdict = "refuted_at_depth"

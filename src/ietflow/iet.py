@@ -12,9 +12,9 @@ then ranks the image starts, sorted as (start, index) pairs, into the
 permutation, checking on the way that the images tile the base.
 
 Every public value is a ``Fraction`` in lowest terms, built from the
-lattice on first read, then cached.  Rauzy moves, first returns and the
-edge count read the lattice, so the states they pass along build no
-``Fraction`` that nothing reads.
+lattice on first read, then cached.  Rauzy moves, first returns, the edge
+count and point lookups (``lattice_cell``) read the lattice, so the states
+they pass along build no ``Fraction`` that nothing reads.
 
 Permutations are 1-indexed: ``permutation[i]`` is the rank of the image of
 the (i+1)-th subinterval among all image subintervals, counted from the
@@ -58,6 +58,15 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Serialize a Fraction as a "p/q" (or bare integer) string."""
     return str(value)
+
+
+def lattice_cell(cuts: Sequence[int], denom: int, x: Fraction) -> int:
+    """The i with cuts[i] <= x * denom < cuts[i + 1], by bisecting the cuts
+    with floor(x * denom); OutOfDomain outside [0, cuts[-1] / denom)."""
+    n = x.numerator * denom // x.denominator
+    if not 0 <= n < cuts[-1]:
+        raise OutOfDomain(f"{x} is outside [0, {Fraction(cuts[-1], denom)})")
+    return bisect.bisect_right(cuts, n) - 1
 
 
 class Iet:
@@ -206,17 +215,15 @@ class Iet:
 
     # -- evaluation ---------------------------------------------------------
 
-    def piece_index(self, x: Fraction) -> int:
+    def piece_index(self, x: RationalLike) -> int:
         """Index of the subinterval [a_i, a_{i+1}) containing x."""
-        x = as_rational(x)
-        if x < 0 or x >= self.base_length:
-            raise OutOfDomain(f"{x} is outside [0, {self.base_length})")
-        return bisect.bisect_right(self.breakpoints, x) - 1
+        return lattice_cell(self.cuts, self.denom, as_rational(x))
 
     def evaluate(self, x: RationalLike) -> Fraction:
         """Image of x under the exchange."""
         x = as_rational(x)
-        return x + self.translations[self.piece_index(x)]
+        shift, q = self.shifts[self.piece_index(x)], x.denominator
+        return Fraction(x.numerator * self.denom + shift * q, q * self.denom)
 
     __call__ = evaluate
 
@@ -229,8 +236,7 @@ class Iet:
     def iterate(self, x: RationalLike, n: int) -> Fraction:
         """n-th forward (or backward, for n < 0) image of x."""
         x = as_rational(x)
-        if x < 0 or x >= self.base_length:
-            raise OutOfDomain(f"{x} is outside [0, {self.base_length})")
+        self.piece_index(x)  # raises OutOfDomain outside the base
         if n >= 0:
             for _ in range(n):
                 x = self.evaluate(x)

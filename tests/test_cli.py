@@ -312,6 +312,13 @@ class TestCli:
         assert data["threshold"] == 2
         assert data["verdict"] == "refuted_at_depth"
 
+    def test_probe_empty_scales_is_a_usage_error(self, rot13_path, capsys):
+        # an empty list names no scale; it must not fall back to the walk
+        assert run(["probe", "--input", rot13_path, "--scales", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: cannot parse rational '': Invalid literal for Fraction: ''\n"
+
     def test_probe_stops_at_the_first_failing_scale(self, tmp_path, capsys):
         # the first scale refutes, and probing stops there
         path = tmp_path / "m4.json"

@@ -12,10 +12,12 @@ import pytest
 from ietflow import (
     ClosingCriterion,
     ContinuationBroken,
+    Iet,
     IetError,
     LeftBoxUndefined,
     NoClosingInRange,
     NoEdgeInNeighborhood,
+    OutOfDomain,
     ReturnTimeExceeded,
     SingularityInBox,
     SuspensionFlow,
@@ -31,6 +33,7 @@ from ietflow import (
 from ietflow.closing import TwistFamily, _return_maps, induced_suspension
 from ietflow.edges import VirtualEdge, probe_walk, sample_iet
 from ietflow.induction import induce
+from ietflow.serialize import flow_from_dict, flow_to_dict
 from .test_iet_core import rotation
 
 
@@ -104,11 +107,35 @@ class TestSuspensionFlow:
         with pytest.raises(ValueError):
             SuspensionFlow(rotation(F(1, 10)), (F(1), F(0)))
 
+    @pytest.mark.parametrize(
+        "roof, singular, K, partition, message",
+        [
+            ((F(1),) * 2, (), 0, (F(0), F(1, 2), F(1)), "partition must refine the base breakpoints"),
+            ((F(1),) * 2, (), 0, (F(0), F(9, 10), F(11, 10)), "partition must increase from 0"),
+            ((F(1),) * 2, (), 0, (F(1, 10), F(9, 10), F(1)), "partition must increase from 0"),
+            ((F(1),) * 2, (F(1),), 1, None, "singular points must lie in"),
+            ((F(1),) * 2, (F(-1, 3),), 1, None, "singular points must lie in"),
+            ((F(1),) * 2, (), -1, None, "K must be >= 0"),
+        ],
+    )
+    def test_constructor_checks(self, roof, singular, K, partition, message):
+        with pytest.raises(ValueError, match=message):
+            SuspensionFlow(rotation(F(1, 10)), roof, singular, K, partition)
+
     def test_repeated_partition_cut_rejected(self):
         # a repeated cut would be a zero-width cell with a roof of its own
         part = (F(0), F(1, 2), F(1, 2), F(9, 10), F(1))
         with pytest.raises(ValueError, match="partition must increase"):
             SuspensionFlow(rotation(F(1, 10)), (F(1),) * 4, partition=part)
+
+    def test_roof_at_reads_the_cell_and_types_its_domain_error(self):
+        flow = SuspensionFlow(rotation(F(1, 10)), (F(2), F(3)))
+        tiny = F(1, 10**12)
+        assert [flow.roof_at(x) for x in (F(0), F(9, 10) - tiny, F(9, 10), 1 - tiny)] == [2, 2, 3, 3]
+        for x in (-tiny, F(1), F(3, 2)):
+            with pytest.raises(OutOfDomain) as info:
+                flow.roof_at(x)
+            assert str(info.value) == f"{x} is outside [0, 1)"
 
 
 class TestTwistedReturn:
@@ -467,6 +494,67 @@ def pool_flow(rng, i):
 CHAINED = SuspensionFlow(
     make_iet([F(574, 2109), F(44, 111), F(233, 703)], [3, 2, 1]), (F(2), F(1), F(5))
 )
+
+
+FLOW_PUBLIC = ("roof", "partition", "singular_points")
+
+
+class TestLatticeFlows:
+    """Flows keep their integer lattices; the public ``Fraction``s are
+    built on first read, and equality compares values."""
+
+    def induced_flows(self, seed, count):
+        rng = random.Random(seed)
+        for i in range(count):
+            flow = pool_flow(rng, i)
+            b = flow.base.base_length * F(rng.randint(30, 95), 97)
+            try:
+                yield flow, b, induced_suspension(flow, b)
+            except IetError:
+                continue
+
+    def test_induced_public_values_unset_until_read(self):
+        checked = 0
+        for flow, b, induced in self.induced_flows(35, 80):
+            checked += 1
+            assert not set(FLOW_PUBLIC) & set(vars(induced))
+            part, roof = induced.partition, induced.roof
+            assert part == tuple(F(c, induced.denom) for c in induced.cuts) and part[-1] == b
+            assert roof == tuple(flight_oracle(flow, b, x)[0] for x in part[:-1])
+            assert set(induced.singular_points) == first_entries(flow, b)
+            assert list(induced.singular_points) == sorted(induced.singular_points)
+            for name in FLOW_PUBLIC:  # cached once read
+                assert vars(induced)[name] is getattr(induced, name)
+        assert checked > 60
+
+    def test_induced_singular_points_sorted(self):
+        # many pulled-back points over a large denominator: a set of them
+        # does not iterate in order
+        singular = tuple(F(k, 997) for k in range(50, 997, 37))
+        flow = SuspensionFlow(make_iet([F(3, 10), F(1, 2), F(1, 5)], [3, 2, 1]), (F(1), F(2), F(3)), singular)
+        induced = assert_matches_flights(flow, F(2, 5))
+        assert len(induced.singular_points) > 5
+        assert list(induced.singular_points) == sorted(induced.singular_points)
+
+    def test_induced_equals_its_file_and_its_public_construction(self):
+        # a return map's base keeps the chain's lattice, while a file or a
+        # base rebuilt from lengths starts from the least denominator, and
+        # a base may sit on any multiple of it
+        finer = 0
+        for _, _, induced in self.induced_flows(36, 80):
+            base, values = induced.base, (induced.roof, induced.singular_points, induced.K, induced.partition)
+            rebuilt = SuspensionFlow(make_iet(base.lengths, base.permutation), *values)
+            tripled = Iet.from_lattice(3 * base.denom, [3 * c for c in base.cuts], [3 * t for t in base.shifts])
+            coarse = SuspensionFlow(tripled, *values)
+            again = flow_from_dict(flow_to_dict(induced))
+            assert induced == again == rebuilt == coarse
+            assert hash(induced) == hash(again) == hash(rebuilt) == hash(coarse)
+            finer += induced.denom != rebuilt.denom
+            assert coarse.denom == 3 * induced.denom
+        assert finer >= 3
+        flow = tenth_flow([F(3, 5)])
+        assert induced_suspension(flow, F(1, 2)) != induced_suspension(flow, F(2, 5))
+        assert flow != tenth_flow() and flow != SuspensionFlow(flow.base, (F(1), F(2)), (F(3, 5),))
 
 
 class TestSuspensionWalk:

@@ -7,6 +7,7 @@ exactly.
 """
 
 import ast
+import bisect
 import copy
 import importlib
 import math
@@ -20,6 +21,7 @@ import pytest
 from ietflow import (
     Iet,
     NotInduced,
+    OutOfDomain,
     ReduciblePermutation,
     TieEncountered,
     induce,
@@ -369,11 +371,48 @@ class TestLazyPublicValues:
             assert all(getattr(y, name) == getattr(x, name) for name in PUBLIC)
         assert min(kinds.values()) > 100, kinds
 
+    def test_lookups_build_no_public_value(self):
+        # piece_index and evaluate bisect the integer cuts
+        for _, x in self.exchanges(random.Random(27), 100):
+            point = F(x.cuts[-1], 3 * x.denom)
+            assert x.evaluate(point) - point == F(x.shifts[x.piece_index(point)], x.denom)
+            for name in PUBLIC:
+                with pytest.raises(AttributeError):
+                    getattr(Iet, name).__get__(x, Iet)
+
     def test_bare_instance_has_no_attributes(self):
         bare = object.__new__(Iet)
         for name in (*PUBLIC, "denom", "cuts", "shifts", "permutation", "m", "other"):
             with pytest.raises(AttributeError):
                 getattr(bare, name)
+
+
+class TestLatticeLookups:
+    """``piece_index`` and ``evaluate`` bisect the integer cuts with
+    floor(x * denom); a bisection of the ``Fraction`` breakpoints is the
+    oracle, off the lattice, at every breakpoint and at both ends."""
+
+    def test_against_the_breakpoint_oracle(self):
+        rng = random.Random(32)
+        for n in range(300):
+            lengths, perm = draw(rng, rng.randint(2, 6), force_runs=n % 3 == 0)
+            iet = make_iet(lengths, perm)
+            if n % 2:  # over a multiple of the least denominator, as return maps may be
+                k = rng.randint(2, 9)
+                iet = Iet.from_lattice(k * iet.denom, [k * c for c in iet.cuts], [k * t for t in iet.shifts])
+            breaks, base = iet.breakpoints, iet.base_length
+            tiny = F(1, 7 * iet.denom * rng.randint(10**6, 10**7))
+            points = {base * F(rng.randrange(10**6), 10**6 + 3) for _ in range(20)}
+            points |= {c + e for c in breaks for e in (-tiny, 0, tiny) if 0 <= c + e < base}
+            for x in sorted(points):
+                i = bisect.bisect_right(breaks, x) - 1
+                assert iet.piece_index(x) == i, (iet, x)
+                assert iet.evaluate(x) == x + iet.translations[i], (iet, x)
+            for x in (-tiny, base, base + tiny):
+                for lookup in (iet.piece_index, iet.evaluate):
+                    with pytest.raises(OutOfDomain) as info:
+                        lookup(x)
+                    assert str(info.value) == f"{x} is outside [0, {base})"
 
 
 def float_uses(source: str) -> list[int]:
