@@ -21,9 +21,12 @@ closing parameter the orbit through the vertex b crosses the box once and
 returns exactly to b.
 
 Flows are stored on integer lattices, as exchanges are, with their public
-``Fraction``s built on first read; box geometry stays exact rational.  The
-closing parameter has a closed form, evaluated in floating point without
-any search; the float twisted kernel re-validates it by forward integration.
+``Fraction``s built on first read.  The edge pick, the box's singular and
+roof checks and the vertex checks read those lattices; the picked edge and
+its box are exact ``Fraction``s.  The closing parameter has a closed form,
+evaluated in floating point without any search; the float twisted kernel,
+whose floats are read off the lattices, re-validates it by forward
+integration.
 
 Closing walks down the scales of ``probe_walk``, chained first returns to
 shortened bases (Rauzy states away from ties, cross-checked by
@@ -57,7 +60,6 @@ from .edges import (
     DEFAULT_WITNESS_GAP,
     ClosingCriterion,
     VirtualEdge,
-    find_virtual_edges,
     max_disjoint_edges,
 )
 from .iet import Iet, RationalLike, as_rational, lattice_cell
@@ -156,32 +158,41 @@ class FlowBox:
         return self.tangent_edge[0][1]
 
 
+def _first_singular(sing, d: int, lo, hi) -> int | None:
+    """The first of the sorted numerators ``sing`` over ``d`` in [lo, hi],
+    lo and hi being integers or ``Fraction``s, or None."""
+    k = bisect.bisect_left(sing, -(-lo.numerator * d // lo.denominator))
+    if k < len(sing) and sing[k] * hi.denominator <= hi.numerator * d:
+        return sing[k]
+    return None
+
+
 def build_flow_box(flow: SuspensionFlow, edge: VirtualEdge) -> FlowBox:
     """Assemble the simple flow box bounded by the edge and its orbit arc.
 
     Raises SingularityInBox when a singular point lies on [a_bar, c_bar]
     (either flight would die).
     """
-    base = flow.base
-    edge.validate(base)
+    edge.validate(flow.base)
     a_bar, b_bar, c_bar = edge.s, edge.e1, edge.t
+    d = flow.denom
 
-    lo = bisect.bisect_left(flow.singular_points, a_bar)
-    if lo < len(flow.singular_points) and flow.singular_points[lo] <= c_bar:
-        raise SingularityInBox(flow.singular_points[lo])
+    hit = _first_singular(flow.sing, d, a_bar, c_bar)
+    if hit is not None:
+        raise SingularityInBox(Fraction(hit, d))
 
-    cell = bisect.bisect_right(flow.partition, a_bar) - 1
-    if flow.partition[cell + 1] < b_bar:
+    cell = lattice_cell(flow.cuts, d, a_bar)
+    if flow.cuts[cell + 1] * b_bar.denominator < b_bar.numerator * d:
         raise ValueError("roof is not constant over the box strip")
-    r1 = flow.roof[cell]
-    r2 = flow.roof_at(b_bar)
+    n1, n2 = flow.rnums[cell], flow.rnums[lattice_cell(flow.cuts, d, b_bar)]
+    r1, r2 = Fraction(n1, flow.rden), Fraction(n2, flow.rden)
     return FlowBox(
         a_bar=a_bar,
         b_bar=b_bar,
         c_bar=c_bar,
         orthogonal_edge=(a_bar, c_bar),
         tangent_edge=(((a_bar, b_bar), r1), ((b_bar, c_bar), r2)),
-        total_height=r1 + r2,
+        total_height=Fraction(n1 + n2, flow.rden),
     )
 
 
@@ -224,13 +235,14 @@ def make_twist_family(
 def _check_coherent(family: TwistFamily) -> None:
     base = family.flow.base
     box = family.box
-    if base.evaluate(box.a_bar) != box.b_bar or base.evaluate(box.b_bar) != box.c_bar:
+    if not base._maps_to(box.a_bar, box.b_bar) or not base._maps_to(box.b_bar, box.c_bar):
         raise ContinuationBroken("box vertices do not follow the flow's return map")
 
 
-def _near_singular(x: float, singulars: list[float]) -> bool:
-    i = bisect.bisect_left(singulars, x - SINGULAR_SNAP)
-    return i < len(singulars) and singulars[i] <= x + SINGULAR_SNAP
+def _near_singular(x: float, flow: SuspensionFlow) -> bool:
+    d, sing = flow.denom, flow.sing
+    i = bisect.bisect_left(sing, x - SINGULAR_SNAP, key=lambda q: q / d)
+    return i < len(sing) and sing[i] / d <= x + SINGULAR_SNAP
 
 
 def twisted_return(family: TwistFamily, t: float, x: float) -> tuple[float, float]:
@@ -245,10 +257,9 @@ def twisted_return(family: TwistFamily, t: float, x: float) -> tuple[float, floa
     if not 0 <= t <= family.sigma_max:
         raise ValueError(f"twist {t} outside [0, {family.sigma_max}]")
     flow = family.flow
-    singulars = [float(q) for q in flow.singular_points]
-    if not 0.0 <= x < float(flow.base.breakpoints[-1]):
+    if not 0.0 <= x < flow.cuts[-1] / flow.denom:
         raise ValueError(f"{x} outside the base interval")
-    if _near_singular(x, singulars):
+    if _near_singular(x, flow):
         raise LeftBoxUndefined(f"orbit starts in the singular gap at {x}")
 
     a = float(family.box.a_bar)
@@ -267,12 +278,15 @@ def twisted_return(family: TwistFamily, t: float, x: float) -> tuple[float, floa
         position = x_top + tau
         time = r1
     else:
-        cell = bisect.bisect_right([float(p) for p in flow.partition], x) - 1
-        piece = bisect.bisect_right([float(p) for p in flow.base.breakpoints], x) - 1
-        position = x + float(flow.base.translations[piece])
-        time = float(flow.roof[cell])
+        # int / int rounds correctly, as float(Fraction) does, so these
+        # are the floats of the public cuts
+        cell = bisect.bisect_right(flow.cuts, x, key=lambda c: c / flow.denom) - 1
+        base = flow.base
+        piece = bisect.bisect_right(base.cuts, x, key=lambda c: c / base.denom) - 1
+        position = x + base.shifts[piece] / base.denom
+        time = flow.rnums[cell] / flow.rden
 
-    if _near_singular(position, singulars):
+    if _near_singular(position, flow):
         raise LeftBoxUndefined(f"twisted orbit exits into the singular gap at {position}")
     return position, time
 
@@ -399,7 +413,7 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
     # a cell lies in one base piece: the piece of its left cut's floor on the base lattice
     shifts = [base.shifts[bisect.bisect_right(base.cuts, c // step) - 1] * step for c in cuts[:-1]]
     budget = default_return_budget(base, b)
-    pieces, pulled = first_returns(cuts, shifts, flow.rnums, sing, top, budget, b)
+    pieces, pulled = first_returns(cuts, shifts, flow.rnums, sing, top, budget, denom)
     ends, _, _, _, weights = zip(*pieces)
     lattice = (denom, ends + (top,), tuple(sorted(pulled)), flow.rden, weights)
     return object.__new__(SuspensionFlow)._set(return_map(pieces, denom), flow.K, *lattice)
@@ -425,14 +439,14 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
         top, _ = shortened_base(state)  # on the lattice of ``base``
         if top * p.denominator <= p.numerator * base.denom:  # b <= p
             return
-        b = Fraction(top, base.denom)
-        pieces, _ = first_returns(cuts, shifts, times, [], top, 2, b)
+        pieces, _ = first_returns(cuts, shifts, times, [], top, 2, base.denom)
         state = return_map(pieces, base.denom)
         cuts, _, shifts, _, times = zip(*pieces)
         cuts += (top,)
         # the budget grows as the scale shrinks, so it is re-read only
         # when a return passes the last one read
         if max(times) > budget:
+            b = Fraction(top, base.denom)
             budget = default_return_budget(base, b)
             if max(times) > budget:
                 raise ReturnTimeExceeded(budget, scale=b)
@@ -441,26 +455,37 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
 
 def _pick_admissible_edge(flow: SuspensionFlow, blocked: list) -> VirtualEdge | None:
     """Leftmost edge whose strip stays under one roof cell and whose span
-    avoids every singular point."""
-    part = flow.partition
-    singulars = flow.singular_points
-    for fam in find_virtual_edges(flow.base):
-        span = 2 * fam.offset
-        for j in range(len(part) - 1):
-            sub_lo = max(fam.s_min, part[j])
-            sub_sup = min(fam.s_sup, part[j + 1] - fam.offset)
+    avoids every singular point.
+
+    An edge family lives in one base piece, so only the partition cells
+    inside it are scanned, on the flow's lattice.  Where a singular point
+    blocks a cell's leftmost edge, the exact candidates just right of each
+    singular point in the cell, ``DEFAULT_WITNESS_GAP`` past it or half
+    way to the cell's end, are tried in turn."""
+    base, cuts, sing, d = flow.base, flow.cuts, flow.sing, flow.denom
+    lift = d // base.denom
+    for i, tau in enumerate(base.shifts):
+        lo, off = base.cuts[i] * lift, tau * lift
+        s_sup = base.cuts[i + 1] * lift - 2 * off
+        if tau <= 0 or s_sup <= lo:
+            continue  # no edge family in this piece
+        for j in range(bisect.bisect_left(cuts, lo), bisect.bisect_left(cuts, s_sup)):
+            sub_lo, sub_sup = cuts[j], min(s_sup, cuts[j + 1] - off)
             if sub_lo >= sub_sup:
                 continue
-            candidates = [sub_lo]
-            for q in singulars:
-                if sub_lo <= q < sub_sup:
-                    room = sub_sup - q
-                    candidates.append(q + min(DEFAULT_WITNESS_GAP, room / 2))
+            hit = _first_singular(sing, 1, sub_lo, sub_lo + 2 * off)  # on the lattice
+            if hit is None:
+                return VirtualEdge(*(Fraction(sub_lo + k * off, d) for k in range(3)))
+            offset = Fraction(off, d)
+            candidates = [Fraction(sub_lo, d)]
+            for q in sing[bisect.bisect_left(sing, sub_lo) : bisect.bisect_left(sing, sub_sup)]:
+                candidates.append(Fraction(q, d) + min(DEFAULT_WITNESS_GAP, Fraction(sub_sup - q, 2 * d)))
             for s in candidates:
-                hit = next((q for q in singulars if s <= q <= s + span), None)
+                edge = VirtualEdge(s, s + offset, s + 2 * offset)
+                hit = _first_singular(sing, d, s, edge.t)
                 if hit is None:
-                    return fam.edge_at(s)
-                blocked.append((fam.edge_at(s), hit))
+                    return edge
+                blocked.append((edge, Fraction(hit, d)))
     return None
 
 

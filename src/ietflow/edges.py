@@ -43,7 +43,7 @@ class VirtualEdge:
         of whatever search produced this edge."""
         if not self.s < self.e1 < self.t:
             raise ValueError(f"edge ordering violated: {self}")
-        if iet.evaluate(self.s) != self.e1 or iet.evaluate(self.e1) != self.t:
+        if not iet._maps_to(self.s, self.e1) or not iet._maps_to(self.e1, self.t):
             raise ValueError(f"edge {self} does not follow the exchange")
         piece = iet.piece_index(self.s)
         if self.t.numerator * iet.denom >= iet.cuts[piece + 1] * self.t.denominator:

@@ -101,7 +101,7 @@ def induction_top(parent: Iet, b: Fraction, denom: int) -> int:
     return top
 
 
-def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, scale: Fraction):
+def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, denom: int):
     """First returns to [0, top) of the map moving each cell [cuts[i],
     cuts[i + 1]) by shifts[i], on integer numerators.
 
@@ -109,7 +109,9 @@ def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, sc
     [0, top), where ``weight`` sums weights[i] over the cells an orbit
     crosses before it returns, and the points of [0, top) whose orbit
     meets one of the sorted ``singulars`` on the way, the start included.
-    Raises ReturnTimeExceeded(max_steps, scale) past ``max_steps`` steps.
+    Raises ReturnTimeExceeded(max_steps, top / denom) past ``max_steps``
+    steps; ``denom``, the lattice's denominator, is read only to name the
+    scale in an error.
     """
     done: list[tuple[int, int, int, int, int]] = []
     pulled: set[int] = set()
@@ -117,7 +119,7 @@ def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, sc
     while work:
         lo, hi, off, steps, weight = work.popleft()
         if steps >= max_steps:
-            raise ReturnTimeExceeded(max_steps, scale=scale)
+            raise ReturnTimeExceeded(max_steps, scale=Fraction(top, denom))
         steps += 1
         cur_lo, cur_hi = lo + off, hi + off
         if singulars:  # skips the lookup where nothing is pulled back, as in ``induce``
@@ -147,11 +149,11 @@ def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, sc
     cursor = 0
     for lo, hi, _, _, _ in done:
         if lo != cursor:
-            gap = scale * Fraction(cursor, top)
-            raise NotInduced(f"gap at {gap} while assembling the return map")
+            raise NotInduced(f"gap at {Fraction(cursor, denom)} while assembling the return map")
         cursor = hi
     if cursor != top:
-        raise NotInduced(f"return pieces stop at {scale * Fraction(cursor, top)}, expected {scale}")
+        stop, scale = Fraction(cursor, denom), Fraction(top, denom)
+        raise NotInduced(f"return pieces stop at {stop}, expected {scale}")
     return done, pulled
 
 
@@ -184,7 +186,7 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
     if lift != 1:
         cuts = [c * lift for c in cuts]
         shifts = [t * lift for t in shifts]
-    pieces, _ = first_returns(cuts, shifts, [0] * parent.m, [], top, max_steps, b)
+    pieces, _ = first_returns(cuts, shifts, [0] * parent.m, [], top, max_steps, denom)
 
     # return-time partition: merge neighbours agreeing on translation and
     # time; the canonical map merges on translation alone, so an induction

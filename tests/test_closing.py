@@ -30,8 +30,8 @@ from ietflow import (
     make_twist_family,
     twisted_return,
 )
-from ietflow.closing import TwistFamily, _return_maps, induced_suspension
-from ietflow.edges import VirtualEdge, probe_walk, sample_iet
+from ietflow.closing import TwistFamily, _pick_admissible_edge, _return_maps, induced_suspension
+from ietflow.edges import DEFAULT_WITNESS_GAP, VirtualEdge, find_virtual_edges, probe_walk, sample_iet
 from ietflow.induction import induce
 from ietflow.serialize import flow_from_dict, flow_to_dict
 from .test_iet_core import rotation
@@ -98,6 +98,30 @@ class TestBuildFlowBox:
         flow = SuspensionFlow(rotation(F(1, 10)), (F(2), F(3)))
         box = build_flow_box(flow, VirtualEdge(F(0), F(1, 10), F(1, 5)))
         assert box.total_height == 4  # both flights under the first roof cell
+
+    @pytest.mark.parametrize("s", [F(1, 10), F(1, 10) + F(1, 10**6)])
+    def test_singular_point_on_either_end_blocks_the_box(self, s):
+        # the edge's ends are closed; off the base lattice too, as a
+        # witness-gap edge is
+        edge = VirtualEdge(s, s + F(1, 10), s + F(1, 5))
+        tiny = F(1, 10**7)
+        for q in (s, s + F(1, 5)):
+            with pytest.raises(SingularityInBox) as info:
+                build_flow_box(tenth_flow([q]), edge)
+            assert info.value.point == q and str(info.value) == f"singular point {q} blocks the flow box"
+        for q in (s - tiny, s + F(1, 5) + tiny):
+            assert build_flow_box(tenth_flow([q]), edge).c_bar == s + F(1, 5)
+
+    def test_strip_may_end_on_a_cell_end_but_not_one_unit_past_it(self):
+        # a singular point away from the box puts the flow on thousandths
+        flow = SuspensionFlow(
+            rotation(F(1, 10)), (F(1), F(2), F(3)), (F(999, 1000),), 1, (F(0), F(1, 10), F(9, 10), F(1))
+        )
+        assert flow.denom == 1000
+        box = build_flow_box(flow, VirtualEdge(F(0), F(1, 10), F(1, 5)))
+        assert box.tangent_edge == (((F(0), F(1, 10)), F(1)), ((F(1, 10), F(1, 5)), F(2)))
+        with pytest.raises(ValueError, match="roof is not constant over the box strip"):
+            build_flow_box(flow, VirtualEdge(F(1, 1000), F(101, 1000), F(201, 1000)))
 
 
 class TestSuspensionFlow:
@@ -557,6 +581,100 @@ class TestLatticeFlows:
         assert flow != tenth_flow() and flow != SuspensionFlow(flow.base, (F(1), F(2)), (F(3, 5),))
 
 
+def pick_oracle(flow, blocked):
+    """The edge pick as a scan of every partition cell for every edge
+    family, on the public ``Fraction``s."""
+    part = flow.partition
+    singulars = flow.singular_points
+    for fam in find_virtual_edges(flow.base):
+        span = 2 * fam.offset
+        for j in range(len(part) - 1):
+            sub_lo = max(fam.s_min, part[j])
+            sub_sup = min(fam.s_sup, part[j + 1] - fam.offset)
+            if sub_lo >= sub_sup:
+                continue
+            candidates = [sub_lo]
+            for q in singulars:
+                if sub_lo <= q < sub_sup:
+                    room = sub_sup - q
+                    candidates.append(q + min(DEFAULT_WITNESS_GAP, room / 2))
+            for s in candidates:
+                hit = next((q for q in singulars if s <= q <= s + span), None)
+                if hit is None:
+                    return fam.edge_at(s)
+                blocked.append((fam.edge_at(s), hit))
+    return None
+
+
+class TestLatticeEdgePick:
+    """``_pick_admissible_edge`` scans only the cells of each family's own
+    base piece, on the flow's lattice; the ``Fraction`` scan of every cell
+    is the oracle."""
+
+    @staticmethod
+    def windows(flow):
+        """(start, end of admissible starts, span) of each family in each
+        of its cells."""
+        part = flow.partition
+        for fam in find_virtual_edges(flow.base):
+            for lo, hi in zip(part, part[1:]):
+                lo, sup = max(fam.s_min, lo), min(fam.s_sup, hi - fam.offset)
+                if lo < sup:
+                    yield lo, sup, fam.edge_length
+
+    def placed_flows(self, seed, count):
+        """Induced pool flows, some with extra partition cuts, carrying 0-4
+        singular points on cell ends, on span ends, near a window's end and
+        inside the witness gap past another singular point."""
+        rng = random.Random(seed)
+        for i in range(count):
+            flow = pool_flow(rng, i)
+            b = flow.base.base_length * F(rng.randint(30, 95), 97)
+            try:
+                induced = induced_suspension(flow, b)
+            except IetError:
+                continue
+            part, roof = list(induced.partition), list(induced.roof)
+            for _ in range(rng.randint(0, 2)):  # refine: a cut inside a cell keeps its roof
+                j = rng.randrange(len(roof))
+                part.insert(j + 1, part[j] + (part[j + 1] - part[j]) * F(rng.randint(1, 9), 10))
+                roof.insert(j + 1, roof[j])
+            refined = SuspensionFlow(induced.base, roof, (), 0, part)
+            windows = list(self.windows(refined)) or [(F(0), b, b)]
+            singular = []
+            for _ in range(rng.randint(0, 4)):
+                lo, sup, span = rng.choice(windows)
+                q = rng.choice(
+                    [
+                        rng.choice(part[:-1]),
+                        lo + span,
+                        lo + span + F(1, 10**9),
+                        sup - DEFAULT_WITNESS_GAP / 3,
+                        b * F(rng.randrange(1000), 1000),
+                    ]
+                )
+                if singular and rng.random() < 0.5:
+                    q = rng.choice(singular) + DEFAULT_WITNESS_GAP * rng.choice([F(1, 2), 1, 1 + span / DEFAULT_WITNESS_GAP])
+                if 0 <= q < b:
+                    singular.append(q)
+            yield SuspensionFlow(induced.base, roof, sorted(set(singular)), len(singular), part)
+
+    def test_against_the_fraction_scan(self):
+        seen = Counter()
+        for flow in self.placed_flows(41, 600):
+            blocked, expected = [], []
+            edge = _pick_admissible_edge(flow, blocked)
+            assert edge == pick_oracle(flow, expected), flow
+            assert blocked == expected, flow
+            for found, hit in blocked:
+                assert type(hit) is F and hit in flow.singular_points
+            seen["none" if edge is None else "edge"] += 1
+            seen["blocked"] += bool(blocked)
+            seen["witness"] += edge is not None and edge.s not in flow.partition
+            seen["refined"] += flow.denom != flow.base.denom
+        assert min(seen.values()) >= 20, seen
+
+
 class TestSuspensionWalk:
     def test_non_integer_roofs(self):
         flow = SuspensionFlow(
@@ -654,3 +772,31 @@ class TestSuspensionWalk:
         assert counts == {"closed": 260, "NoEdgeInNeighborhood": 245, "ReturnTimeExceeded": 7}
         digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
         assert digest == "8d31294989c60d8ec81e81f255395df2ad8a7cdfce3698ebb8cc6b77793cf379"
+
+    def test_close_pool_boxes_and_blocked_edges_pinned(self):
+        # every closing's box vertices and sigma1, and every
+        # NoEdgeInNeighborhood message with the edges a singular point
+        # blocked, in the order the edge pick tried them
+        rng = random.Random(21)
+        rows, blocked = [], 0
+        for i in range(1024):
+            flow = pool_flow(rng, i)
+            try:
+                results = close_at_point(flow, 0, ClosingCriterion(-3, 1), 3)
+            except NoEdgeInNeighborhood as exc:
+                rows.append(f"{exc} {exc.blocked}")
+                blocked += bool(exc.blocked)
+                continue
+            except IetError as exc:
+                rows.append(type(exc).__name__)
+                continue
+            boxes = (r.family.box for r in results)
+            rows.append(
+                "closed "
+                + " ".join(f"{x.a_bar},{x.b_bar},{x.c_bar}:{r.sigma1.hex()}" for x, r in zip(boxes, results))
+            )
+        counts = Counter(row.split()[0] for row in rows)
+        assert counts == {"closed": 521, "no": 484, "ReturnTimeExceeded": 19}
+        assert blocked == 34
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == "24b7cd39e001c255cf3b7fcdabcb27cdd183aba4348970a0ec68ca52db8c4bed"

@@ -320,7 +320,7 @@ class TestFirstReturns:
             weights = [rng.randint(0, 9) for _ in shifts]
             sing_ints = sorted(rng.sample(range(int(length)), rng.randint(0, 3)))
             b = F(top, denom)
-            pieces, pulled = first_returns(ints, shifts, weights, sing_ints, top, 10**4, b)
+            pieces, pulled = first_returns(ints, shifts, weights, sing_ints, top, 10**4, denom)
 
             singulars = [F(q, denom) for q in sing_ints]
             assert pieces[0][0] == 0 and pieces[-1][1] == top
@@ -339,9 +339,9 @@ class TestFirstReturns:
     def test_budget_names_the_scale(self):
         # the rotation by 1/10, in tenths: [0, 1/10) returns after ten steps
         with pytest.raises(ReturnTimeExceeded) as info:
-            first_returns([0, 9, 10], [1, -9], [0, 0], [], 1, 9, F(1, 10))
+            first_returns([0, 9, 10], [1, -9], [0, 0], [], 1, 9, 10)
         assert (info.value.max_steps, info.value.scale) == (9, F(1, 10))
-        pieces, _ = first_returns([0, 9, 10], [1, -9], [1, 1], [], 1, 10, F(1, 10))
+        pieces, _ = first_returns([0, 9, 10], [1, -9], [1, 1], [], 1, 10, 10)
         assert pieces == [(0, 1, 0, 10, 10)]
 
 

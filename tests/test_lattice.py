@@ -28,6 +28,7 @@ from ietflow import (
     make_iet,
     rauzy_step,
 )
+from ietflow.edges import VirtualEdge, max_disjoint_edges
 from ietflow.induction import is_irreducible
 
 PUBLIC = ("lengths", "breakpoints", "translations", "base_length")
@@ -413,6 +414,86 @@ class TestLatticeLookups:
                     with pytest.raises(OutOfDomain) as info:
                         lookup(x)
                     assert str(info.value) == f"{x} is outside [0, {base})"
+
+
+def lattice_exchanges(rng, count):
+    """Drawn exchanges, every other one over a multiple of its least
+    denominator, with a point ``tiny`` whose denominator does not divide
+    the lattice's."""
+    for n in range(count):
+        lengths, perm = draw(rng, rng.randint(2, 6), force_runs=n % 3 == 0)
+        iet = make_iet(lengths, perm)
+        if n % 2:
+            k = rng.randint(2, 9)
+            iet = Iet.from_lattice(k * iet.denom, [k * c for c in iet.cuts], [k * t for t in iet.shifts])
+        yield iet, F(1, 7 * iet.denom * rng.randint(10**6, 10**7))
+
+
+def validate_oracle(edge, iet):
+    """``VirtualEdge.validate`` on the public ``Fraction``s, through
+    ``evaluate``."""
+    if not edge.s < edge.e1 < edge.t:
+        raise ValueError(f"edge ordering violated: {edge}")
+    if iet.evaluate(edge.s) != edge.e1 or iet.evaluate(edge.e1) != edge.t:
+        raise ValueError(f"edge {edge} does not follow the exchange")
+    if edge.t >= iet.breakpoints[iet.piece_index(edge.s) + 1]:
+        raise ValueError(f"edge {edge} leaves its continuity interval")
+
+
+def raised(check, *args):
+    try:
+        check(*args)
+    except (ValueError, OutOfDomain) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestImageCheck:
+    """``Iet._maps_to`` decides E(x) == y by cross-multiplying on the
+    lattice; ``evaluate`` is the oracle, on and off the lattice."""
+
+    def test_against_evaluate(self):
+        rng = random.Random(33)
+        off_lattice = 0
+        for iet, tiny in lattice_exchanges(rng, 300):
+            base = iet.base_length
+            points = {base * F(rng.randrange(10**6), 10**6 + 3) for _ in range(10)}
+            points |= {c + e for c in iet.breakpoints for e in (-tiny, 0, tiny) if 0 <= c + e < base}
+            _, witnesses = max_disjoint_edges(iet)
+            points |= {edge.s for edge in witnesses}
+            for x in points:
+                image = iet.evaluate(x)
+                off_lattice += iet.denom % x.denominator != 0
+                for y in (image, image + tiny, image - tiny, image + F(1, iet.denom), x, F(0)):
+                    assert iet._maps_to(x, y) == (image == y), (iet, x, y)
+            for x in (-tiny, base, base + tiny):
+                assert raised(iet._maps_to, x, x) == raised(iet.evaluate, x)
+        assert off_lattice > 1000
+
+    def test_validate_against_the_evaluate_oracle(self):
+        rng = random.Random(34)
+        passed = failed = 0
+        for iet, tiny in lattice_exchanges(rng, 300):
+            _, witnesses = max_disjoint_edges(iet)
+            edges = list(witnesses)
+            for s in (iet.base_length * F(rng.randrange(10**6), 10**6 + 3) for _ in range(5)):
+                e1 = iet.evaluate(s)
+                edges.append(VirtualEdge(s, e1, iet.evaluate(e1)))
+            for edge in list(edges):
+                s, e1, t = edge.s, edge.e1, edge.t
+                edges += [
+                    VirtualEdge(s, e1 + tiny, t),
+                    VirtualEdge(s, e1, t + tiny),
+                    VirtualEdge(s, e1, t - tiny),
+                    VirtualEdge(s + tiny, e1 + tiny, t + tiny),
+                    VirtualEdge(s - tiny, e1 - tiny, t - tiny),
+                ]
+            for edge in edges:
+                expected = raised(validate_oracle, edge, iet)
+                assert raised(edge.validate, iet) == expected, (iet, edge)
+                passed += expected is None
+                failed += expected is not None
+        assert passed > 500 and failed > 1000
 
 
 def float_uses(source: str) -> list[int]:
