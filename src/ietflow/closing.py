@@ -64,7 +64,7 @@ from .edges import (
 )
 from .iet import Iet, RationalLike, as_rational, lattice_cell
 # unused ``induce`` is read by test_tracer_rebinds_every_import_site_and_restores_them
-from .induction import default_return_budget, first_returns, induce, induction_top, return_map
+from .induction import base_lattice, default_return_budget, first_returns, induce, return_map
 from .induction import shortened_base
 
 SINGULAR_SNAP = 1e-12
@@ -120,6 +120,8 @@ class SuspensionFlow:
         sing = tuple(sorted(_numerators(sing, denom)))
         if sing and (sing[0] < 0 or sing[-1] >= cuts[-1]):
             raise ValueError("singular points must lie in [0, base)")
+        if len(set(sing)) < len(sing):
+            raise ValueError("singular points must be distinct")
         if K < 0:
             raise ValueError("K must be >= 0")
         rden = math.lcm(*(r.denominator for r in roof))
@@ -402,17 +404,15 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
     partition, so each cell of the output partition has one roof.
     """
     base = flow.base
-    b = as_rational(b)
     # the flow's lattice is lifted only when b's denominator does not divide it
-    denom = math.lcm(b.denominator, flow.denom)
-    top = induction_top(base, b, denom)
-    lift, step = denom // flow.denom, denom // base.denom
+    denom, lift, top = base_lattice(flow.denom, flow.cuts[-1], b)
+    step = denom // base.denom
     cuts, sing = flow.cuts, flow.sing
     if lift != 1:
         cuts, sing = [c * lift for c in cuts], [q * lift for q in sing]
     # a cell lies in one base piece: the piece of its left cut's floor on the base lattice
     shifts = [base.shifts[bisect.bisect_right(base.cuts, c // step) - 1] * step for c in cuts[:-1]]
-    budget = default_return_budget(base, b)
+    budget = default_return_budget(base.m, cuts[-1], top)
     pieces, pulled = first_returns(cuts, shifts, flow.rnums, sing, top, budget, denom)
     ends, _, _, _, weights = zip(*pieces)
     lattice = (denom, ends + (top,), tuple(sorted(pulled)), flow.rden, weights)
@@ -428,13 +428,12 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
     of constant return time and translation.  Each state is the first
     return of the previous one to its ``shortened_base``, reached within
     two steps, so one ``first_returns`` run weighted by the return times
-    gives the state and its cells.  A state whose longest return passes
-    ``default_return_budget(base, scale)``, the budget ``induce`` gives
-    that scale, raises ReturnTimeExceeded, so a long run of small steps (a
-    rotation by 1/N shrinks the base by 1/N a step) ends the walk.
+    gives the state and its cells.  A return longer than the budget
+    ``induce`` gives the state's scale, ``default_return_budget`` on the
+    lattice of ``base``, raises ReturnTimeExceeded, so a long run of small
+    steps (a rotation by 1/N shrinks the base by 1/N a step) ends the walk.
     """
     state, cuts, shifts, times = base, base.cuts, base.shifts, [1] * base.m
-    budget = 0
     while state.m > 1:
         top, _ = shortened_base(state)  # on the lattice of ``base``
         if top * p.denominator <= p.numerator * base.denom:  # b <= p
@@ -443,13 +442,9 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
         state = return_map(pieces, base.denom)
         cuts, _, shifts, _, times = zip(*pieces)
         cuts += (top,)
-        # the budget grows as the scale shrinks, so it is re-read only
-        # when a return passes the last one read
+        budget = default_return_budget(base.m, base.cuts[-1], top)
         if max(times) > budget:
-            b = Fraction(top, base.denom)
-            budget = default_return_budget(base, b)
-            if max(times) > budget:
-                raise ReturnTimeExceeded(budget, scale=b)
+            raise ReturnTimeExceeded(budget, scale=Fraction(top, base.denom))
         yield state
 
 

@@ -17,10 +17,10 @@ closing walk weigh roofs and return times with it.
 ``check_induction_consistency`` cross-validates the two routes: the n-th
 walk state must equal the n-step Rauzy state, exactly, as canonical maps.
 
-``edges`` and ``closing`` keep ``induce`` bound, as the benchmark's tests
-assert, and the walk steps by it, so that ``measure`` calls it.
-``closing._return_maps`` stays a second walk to the same bases: it carries
-the return times its budget reads; through ``induce`` it ran 25% slower.
+Every first return takes its lattice, range check and step budget from
+``base_lattice`` and ``default_return_budget``.  ``closing._return_maps``
+stays a second walk since it carries the return times the budget reads;
+the benchmark's contract keeps ``induce`` as the ``measure`` step.
 """
 
 from __future__ import annotations
@@ -86,19 +86,23 @@ class InducedResult:
         return self._kac_numerator() == self.parent_top
 
 
-def default_return_budget(parent: Iet, b: Fraction) -> int:
-    """Step budget heuristic: 10 * (m + floor(base/b) + 1), for b > 0."""
-    base_over_b = parent.cuts[-1] * b.denominator // (parent.denom * b.numerator)
-    return 10 * (parent.m + base_over_b + 1)
+def default_return_budget(m: int, parent_top: int, top: int) -> int:
+    """Step budget heuristic 10 * (m + floor(base/b) + 1) for an m-interval
+    parent, its base and b > 0 being ``parent_top`` and ``top`` on one lattice."""
+    return 10 * (m + parent_top // top + 1)
 
 
-def induction_top(parent: Iet, b: Fraction, denom: int) -> int:
-    """The numerator of ``b`` over ``denom``, a multiple of its denominator,
-    checked against the parent's lattice to lie in (0, base length]."""
+def base_lattice(denom0: int, base_top: int, b: RationalLike) -> tuple[int, int, int]:
+    """The lattice of a first return from [0, base_top / denom0) to [0, b):
+    its denominator, lcm(denom0, b's), the factor lifting numerators over
+    denom0 onto it, and b's numerator on it, checked to lie in (0, base]."""
+    b = as_rational(b)
+    denom = math.lcm(b.denominator, denom0)
+    lift = denom // denom0
     top = b.numerator * (denom // b.denominator)
-    if top <= 0 or top * parent.denom > parent.cuts[-1] * denom:
-        raise ValueError(f"induction base {b} outside (0, {parent.base_length}]")
-    return top
+    if not 0 < top <= base_top * lift:
+        raise ValueError(f"induction base {b} outside (0, {Fraction(base_top, denom0)}]")
+    return denom, lift, top
 
 
 def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, denom: int):
@@ -168,24 +172,20 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
 
     Runs ``first_returns`` over the parent's breakpoints, then merges
     neighbouring pieces that agree on translation and return time.
-    Raises ReturnTimeExceeded when a piece fails to return within the
-    budget (b chosen pathologically small).
+    Raises ReturnTimeExceeded when a piece fails to return within
+    ``max_steps``, by default ``default_return_budget``: a guess that
+    ordinary exchanges and bases exceed, where a larger budget succeeds.
     """
-    # lift the parent's lattice to b's denominator: every cut, offset and
-    # piece end below is an integer multiple of 1/denom; a walk step's b
-    # sits on the parent's lattice, which is then read as it is
-    b = as_rational(b)
-    denom = math.lcm(b.denominator, parent.denom)
-    top = induction_top(parent, b, denom)
-    if max_steps is None:
-        max_steps = default_return_budget(parent, b)
-    if max_steps <= 0:
-        raise ValueError("max_steps must be positive")
-    lift = denom // parent.denom
+    # every cut, offset and piece end below is an integer multiple of
+    # 1/denom; a walk step's b sits on the parent's lattice, read as it is
+    denom, lift, top = base_lattice(parent.denom, parent.cuts[-1], b)
     cuts, shifts = parent.cuts, parent.shifts
     if lift != 1:
-        cuts = [c * lift for c in cuts]
-        shifts = [t * lift for t in shifts]
+        cuts, shifts = [c * lift for c in cuts], [t * lift for t in shifts]
+    if max_steps is None:
+        max_steps = default_return_budget(parent.m, cuts[-1], top)
+    if max_steps <= 0:
+        raise ValueError("max_steps must be positive")
     pieces, _ = first_returns(cuts, shifts, [0] * parent.m, [], top, max_steps, denom)
 
     # return-time partition: merge neighbours agreeing on translation and

@@ -105,6 +105,14 @@ class TestWireFormat:
         with pytest.raises(FormatError, match=message):
             flow_from_dict(data)
 
+    def test_rejects_repeated_singular_points(self):
+        # a repeated point would be stored twice, and 'K' would default to 2
+        data = flow_to_dict(SuspensionFlow(rotation(F(1, 10)), (F(2), F(1)), (F(1, 3),), K=1))
+        data["singular_points"] = ["1/3", "1/3"]
+        del data["K"]
+        with pytest.raises(FormatError, match="singular points must be distinct"):
+            flow_from_dict(data)
+
     def test_flow_round_trip(self):
         flow = SuspensionFlow(rotation(F(1, 10)), (F(2), F(1)), (F(1, 4),), K=1)
         again = flow_from_dict(flow_to_dict(flow))
@@ -212,6 +220,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: partition must increase from 0 to the base length\n"
+
+    def test_repeated_singular_point_in_flow_file_exit_1(self, tmp_path, capsys):
+        data = flow_to_dict(SuspensionFlow(rotation(F(1, 10)), (F(1), F(1)), (F(1, 3),), K=1))
+        data["singular_points"] = ["1/3", "1/3"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run(["close", "--flow", str(path), "--point", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: singular points must be distinct\n"
 
     @pytest.mark.parametrize("depth", ["0", "-1"])
     def test_measure_depth_below_one_exit_1(self, capsys, depth):

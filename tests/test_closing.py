@@ -140,6 +140,8 @@ class TestSuspensionFlow:
             ((F(1),) * 2, (F(1),), 1, None, "singular points must lie in"),
             ((F(1),) * 2, (F(-1, 3),), 1, None, "singular points must lie in"),
             ((F(1),) * 2, (), -1, None, "K must be >= 0"),
+            ((F(1),) * 2, (F(1, 3), F(1, 3)), 2, None, "singular points must be distinct"),
+            ((F(1),) * 2, (F(1, 2), "2/4", F(1, 3)), 3, None, "singular points must be distinct"),
         ],
     )
     def test_constructor_checks(self, roof, singular, K, partition, message):
@@ -446,9 +448,12 @@ class TestRauzyScaleClosing:
             for state, _ in islice(probe_walk(iet), 40):
                 try:
                     induce(iet, state.base_length)
-                except ReturnTimeExceeded:
-                    with pytest.raises(ReturnTimeExceeded):
+                except ReturnTimeExceeded as exc:
+                    # the same budget at the same scale, so the same message
+                    with pytest.raises(ReturnTimeExceeded) as walk:
                         next(maps)
+                    assert (walk.value.max_steps, walk.value.scale) == (exc.max_steps, exc.scale)
+                    assert str(walk.value) == str(exc)
                     raised += 1
                     break
                 assert next(maps) == state

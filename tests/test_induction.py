@@ -25,7 +25,7 @@ from ietflow import (
 from ietflow import induction
 from ietflow.closing import induced_suspension
 from ietflow.edges import default_probe_scales
-from ietflow.induction import default_return_budget, first_returns, probe_walk
+from ietflow.induction import base_lattice, default_return_budget, first_returns, probe_walk
 from .test_iet_core import random_iet, rotation
 
 
@@ -117,7 +117,9 @@ class TestInduce:
             b = parent.base_length * F(rng.randint(1, 1000), rng.randint(1000, 1100))
             foreign += parent.denom % b.denominator != 0
             expected = 10 * (parent.m + int(parent.base_length / b) + 1)
-            assert default_return_budget(parent, b) == expected, (parent, b)
+            _, lift, top = base_lattice(parent.denom, parent.cuts[-1], b)
+            parent_top = parent.cuts[-1] * lift
+            assert default_return_budget(parent.m, parent_top, top) == expected, (parent, b)
         assert foreign > 400
 
     def test_induced_of_induced(self):
@@ -226,6 +228,36 @@ class TestIntegerPath:
                     call()
                 assert str(info.value) == f"induction base {b} outside (0, 1]"
         assert induce(parent, F(1, 3)).parent_base == 1
+
+    def test_one_range_check_one_message(self):
+        # induce and the first-return suspension share one range check:
+        # the same text for b <= 0 and b > base, b = base accepted, also
+        # where b's denominator divides no lattice (7 and 10^9 against 12,
+        # 132 and 60); the strings are pinned
+        parent = make_iet([F(1, 3), F(1, 4)], [2, 1])
+        lifted = Iet.from_lattice(
+            132, [11 * c for c in parent.cuts], [11 * t for t in parent.shifts]
+        )
+        roof = (F(1), F(2))
+        flows = [SuspensionFlow(parent, roof), SuspensionFlow(parent, roof, (F(1, 5),))]
+        assert (parent.denom, lifted.denom, flows[1].denom) == (12, 132, 60)
+        routes = [lambda b: induce(parent, b).induced, lambda b: induce(lifted, b).induced]
+        routes += [lambda b, flow=flow: induced_suspension(flow, b).base for flow in flows]
+        rejected = {
+            F(0): "induction base 0 outside (0, 7/12]",
+            F(-2, 7): "induction base -2/7 outside (0, 7/12]",
+            -3: "induction base -3 outside (0, 7/12]",
+            F(3, 5): "induction base 3/5 outside (0, 7/12]",
+            F(7, 12) + F(1, 10**9): "induction base 1750000003/3000000000 outside (0, 7/12]",
+            1: "induction base 1 outside (0, 7/12]",
+        }
+        for b, message in rejected.items():
+            for route in routes:
+                with pytest.raises(ValueError) as info:
+                    route(b)
+                assert str(info.value) == message
+        for b in (F(7, 12), F(4, 7), F(1, 10**9)):
+            assert [route(b).base_length for route in routes] == [b] * 4
 
     def test_parent_base_after_a_lift(self):
         # b's denominator does not divide the parent's, so the induced map
