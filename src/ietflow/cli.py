@@ -5,6 +5,9 @@ are deterministic JSON (stable key order, rationals as p/q strings) plus
 CSV for bulk per-sample and per-crossing rows.  Exit codes: 0 success, 1
 usage errors, 2 domain errors (ties, missing edges, no closing in range).
 
+Each subcommand imports the layers it runs when it runs, so a command
+starts up paying only for what it uses.
+
 Worker parallelism for the measure experiment is controlled only by the
 IETFLOW_WORKERS environment variable; parallel runs produce byte-identical
 reports.
@@ -13,23 +16,13 @@ reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 from . import __version__
-from .closing import close_at_point
-from .edges import (
-    ClosingCriterion,
-    find_virtual_edges,
-    max_disjoint_edges,
-    estimate_full_measure,
-    probe_edge_criterion,
-)
 from .errors import FormatError, IetError
 from .iet import format_rational, parse_rational
-from .induction import check_induction_consistency, induce, rauzy_orbit
 from .serialize import iet_to_dict, load_flow, load_iet
 
 IET_SCHEMA = 'exchange JSON: {"lengths": ["2/3", "1/3"], "permutation": [2, 1]}'
@@ -58,7 +51,9 @@ def _emit(opts: argparse.Namespace, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _criterion(opts) -> ClosingCriterion:
+def _criterion(opts: argparse.Namespace):
+    from .edges import ClosingCriterion
+
     return ClosingCriterion(opts.chi, opts.k)
 
 
@@ -69,6 +64,8 @@ def _cmd_eval(opts: argparse.Namespace) -> int:
 
 
 def _cmd_induce(opts: argparse.Namespace) -> int:
+    from .induction import induce
+
     iet = load_iet(opts.input)
     result = induce(iet, parse_rational(opts.b), opts.max_steps)
     _emit(
@@ -86,6 +83,8 @@ def _cmd_induce(opts: argparse.Namespace) -> int:
 
 
 def _cmd_rauzy(opts: argparse.Namespace) -> int:
+    from .induction import check_induction_consistency, rauzy_orbit
+
     iet = load_iet(opts.input)
     orbit = rauzy_orbit(iet, opts.depth)
     payload = {
@@ -111,6 +110,8 @@ def _cmd_rauzy(opts: argparse.Namespace) -> int:
 
 
 def _cmd_edges(opts: argparse.Namespace) -> int:
+    from .edges import find_virtual_edges, max_disjoint_edges
+
     iet = load_iet(opts.input)
     count, witness = max_disjoint_edges(iet)
     _emit(
@@ -135,6 +136,8 @@ def _cmd_edges(opts: argparse.Namespace) -> int:
 
 
 def _cmd_probe(opts: argparse.Namespace) -> int:
+    from .edges import probe_edge_criterion
+
     iet = load_iet(opts.input)
     scales = None if opts.scales is None else [parse_rational(s) for s in opts.scales.split(",")]
     report = probe_edge_criterion(iet, _criterion(opts), opts.depth, scales)
@@ -158,6 +161,8 @@ def _cmd_probe(opts: argparse.Namespace) -> int:
 
 
 def _cmd_measure(opts: argparse.Namespace) -> int:
+    from .edges import estimate_full_measure
+
     workers = int(os.environ.get("IETFLOW_WORKERS", "1"))
     report = estimate_full_measure(
         m=opts.m,
@@ -169,6 +174,8 @@ def _cmd_measure(opts: argparse.Namespace) -> int:
         workers=workers,
     )
     if opts.csv:
+        import csv
+
         with open(opts.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(
@@ -217,6 +224,8 @@ def _cmd_measure(opts: argparse.Namespace) -> int:
 
 
 def _cmd_close(opts: argparse.Namespace) -> int:
+    from .closing import close_at_point
+
     flow = load_flow(opts.flow)
     results = close_at_point(
         flow,
@@ -225,6 +234,8 @@ def _cmd_close(opts: argparse.Namespace) -> int:
         opts.shrink_steps,
     )
     if opts.trace_csv:
+        import csv
+
         with open(opts.trace_csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["step", "position", "accumulated_time"])

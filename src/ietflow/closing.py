@@ -78,6 +78,14 @@ def _fractions(nums, denom: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, denom) for n in nums)
 
 
+def _float_gap(hi: Fraction, lo: Fraction) -> float:
+    """float(hi - lo) without building the difference: int / int rounds
+    correctly, as float(Fraction) does, so the float is the same."""
+    return (hi.numerator * lo.denominator - lo.numerator * hi.denominator) / (
+        hi.denominator * lo.denominator
+    )
+
+
 @dataclass(frozen=True, init=False)
 class SuspensionFlow:
     """Roof function over an exchange plus singularity bookkeeping.
@@ -230,7 +238,7 @@ def make_twist_family(
     of that budget, r1 and r2 being the roofs of the two flights: half of it
     when they are equal, past it (NoClosingInRange) when r2 > 3 * r1."""
     if sigma_max is None:
-        sigma_max = float(box.c_bar - box.a_bar) / (2.0 * float(box.total_height))
+        sigma_max = _float_gap(box.c_bar, box.a_bar) / (2.0 * float(box.total_height))
     return TwistFamily(flow, box, sigma_max, drift_rate)
 
 
@@ -364,7 +372,7 @@ def find_closing_parameter(
         raise NoClosingInRange("sigma_max is zero; no twist budget")
     if family.drift_rate >= 0:
         raise NoClosingInRange("drift does not pull crossings back toward a_bar")
-    sigma1 = float(box.b_bar - box.a_bar) / (float(box.strip_height) * -family.drift_rate)
+    sigma1 = _float_gap(box.b_bar, box.a_bar) / (float(box.strip_height) * -family.drift_rate)
     if sigma1 > sigma:
         raise NoClosingInRange(
             f"closing parameter {sigma1} exceeds sigma_max {sigma}; "
@@ -510,12 +518,13 @@ def close_at_point(
         raise ValueError("shrink_steps must be >= 1")
 
     results: list[ClosingResult] = []
+    threshold = criterion.threshold
     maps = _return_maps(flow.base, p)
     for n in range(1, shrink_steps + 1):
         blocked: list = []
         for induced in maps:
             count, _ = max_disjoint_edges(induced, with_witness=False)
-            if count < criterion.threshold:
+            if count < threshold:
                 continue
             b = induced.base_length
             flow_n = induced_suspension(flow, b)
@@ -526,7 +535,7 @@ def close_at_point(
             raise NoEdgeInNeighborhood(n, blocked=blocked)
         flow = flow_n
         box = build_flow_box(flow, edge)
-        tau = float(edge.e1 - edge.s)
+        tau = _float_gap(edge.e1, edge.s)
         r1 = float(box.strip_height)
         sigma_budget = float(b) / (2.0 * float(box.total_height))
         drift = -2.0 * tau / (r1 * sigma_budget)

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import FormatError, NonPositiveLength, NotInduced, OutOfDomain, PermutationNotBijective
 

@@ -8,14 +8,14 @@ non-positive length or a non-bijective permutation too, raises FormatError.
 
 Suspension flow files carry {"base": <exchange>, "roof": [...],
 "singular_points": [...], "K": <int>}, and "partition": [...] when the roof
-cells refine the base breakpoints (first-return flows).
+cells refine the base breakpoints (first-return flows).  Only reading a
+flow imports the closing layer.
 """
 
 from __future__ import annotations
 
 import json
 
-from .closing import SuspensionFlow
 from .errors import FormatError, NonPositiveLength, PermutationNotBijective
 from .iet import Iet, format_rational, make_iet, parse_rational
 
@@ -78,6 +78,8 @@ def flow_to_dict(flow: SuspensionFlow) -> dict:
 
 
 def flow_from_dict(data: dict) -> SuspensionFlow:
+    from .closing import SuspensionFlow
+
     if not isinstance(data, dict) or "base" not in data or "roof" not in data:
         raise FormatError("flow JSON needs 'base' and 'roof'")
     base = iet_from_dict(data["base"])

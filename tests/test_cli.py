@@ -41,6 +41,19 @@ def flow_path(tmp_path):
     return str(path)
 
 
+def _child_stdout(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter on this ietflow."""
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ietflow.__file__))),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 # exchange data that names no exchange: a repeated rank, a negative or a
 # zero length, no interval at all
 INVALID_EXCHANGES = [
@@ -282,15 +295,7 @@ class TestCli:
 
     def test_import_leaves_the_worker_pool_unloaded(self):
         code = "import sys, ietflow.cli; print('concurrent.futures.process' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ietflow.__file__))),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert _child_stdout(code) == "False\n"
 
     def test_domain_error_exit_2(self, rot13_path, capsys):
         assert run(["eval", "--input", rot13_path, "--x", "3/2"]) == 2
@@ -411,6 +416,53 @@ class TestCli:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "step,position,accumulated_time"
         assert len(lines) >= 3
+
+
+# runs argv through ``run`` in a fresh interpreter, then prints the exit
+# code and the ietflow modules loaded; stdlib modules are not asserted on,
+# since a site hook may import some of them first
+_IMPORT_GRAPH = """
+import contextlib, io, json, sys
+from ietflow.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = run(sys.argv[1:])
+    except SystemExit as exc:  # --version
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ietflow")]))
+"""
+FRONT = ["ietflow", "ietflow.cli", "ietflow.errors", "ietflow.iet", "ietflow.serialize"]
+WALK = FRONT + ["ietflow.induction"]
+EDGES = WALK + ["ietflow.edges"]
+EVERY = EDGES + ["ietflow.closing"]
+
+
+class TestImportGraph:
+    """Each command imports only the layers it runs."""
+
+    def test_package_import_loads_no_submodule(self):
+        code = "import sys, ietflow; print([m for m in sys.modules if m.split('.')[0] == 'ietflow'])"
+        assert _child_stdout(code) == "['ietflow']\n"
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (["--version"], FRONT),
+            (["eval", "--input", "{iet}", "--x", "1/2"], FRONT),
+            (["induce", "--input", "{iet}", "--b", "2/3"], WALK),
+            (["rauzy", "--input", "{iet}", "--depth", "3", "--cross-check"], WALK),
+            (["edges", "--input", "{iet}"], EDGES),
+            (["probe", "--input", "{iet}", "--depth", "2"], EDGES),
+            (["measure", "--m", "3", "--samples", "2", "--seed", "1", "--depth", "2"], EDGES),
+            (["close", "--flow", "{flow}", "--point", "0", "--shrink-steps", "1"], EVERY),
+        ],
+        ids=["version", "eval", "induce", "rauzy", "edges", "probe", "measure", "close"],
+    )
+    def test_command_loads_only_its_layers(self, rot13_path, flow_path, argv, modules):
+        argv = [a.format(iet=rot13_path, flow=flow_path) for a in argv]
+        code, loaded = json.loads(_child_stdout(_IMPORT_GRAPH, *argv))
+        assert code == 0
+        assert loaded == sorted(modules)
 
 
 @pytest.fixture
