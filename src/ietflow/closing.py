@@ -20,13 +20,13 @@ negative rate and a twist parameter t in [0, sigma_max].  At the
 closing parameter the orbit through the vertex b crosses the box once and
 returns exactly to b.
 
-Flows are stored on integer lattices, as exchanges are, with their public
-``Fraction``s built on first read.  The edge pick, the box's singular and
-roof checks and the vertex checks read those lattices; the picked edge and
-its box are exact ``Fraction``s.  The closing parameter has a closed form,
-evaluated in floating point without any search; the float twisted kernel,
-whose floats are read off the lattices, re-validates it by forward
-integration.
+Flows and boxes are stored on integer lattices, as exchanges are, with
+their public ``Fraction``s built on first read.  The edge pick hands its
+edge's numerators to one box core, which checks the edge, the singular
+points and the roof cell on the flow's lattice.  The closing parameter has
+a closed form, evaluated in floating point without any search; the float
+twisted kernel, whose floats are read off the lattices, re-validates it by
+forward integration.
 
 Closing walks down the scales of ``probe_walk``, chained first returns to
 shortened bases (Rauzy states away from ties, cross-checked by
@@ -76,14 +76,6 @@ def _numerators(values, denom: int) -> tuple[int, ...]:
 
 def _fractions(nums, denom: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, denom) for n in nums)
-
-
-def _float_gap(hi: Fraction, lo: Fraction) -> float:
-    """float(hi - lo) without building the difference: int / int rounds
-    correctly, as float(Fraction) does, so the float is the same."""
-    return (hi.numerator * lo.denominator - lo.numerator * hi.denominator) / (
-        hi.denominator * lo.denominator
-    )
 
 
 @dataclass(frozen=True, init=False)
@@ -146,64 +138,76 @@ class SuspensionFlow:
         return self.roof[lattice_cell(self.cuts, self.denom, as_rational(x))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowBox:
-    """Simple flow box over a virtual orthogonal edge.
+    """Simple flow box over a virtual orthogonal edge, stored as integers:
+    the vertices a, b and c over ``denom`` and the roofs ``r1`` and ``r2``
+    of its two flights over ``rden``.
 
     ``tangent_edge`` lists the orbit arc as (base segment, flight time)
     pairs from a_bar through b_bar to c_bar; ``total_height`` is the time
-    length of that arc.  The box itself is the strip over [a_bar, b_bar].
-    """
+    length of that arc.  The box itself is the strip over [a_bar, b_bar],
+    of height ``strip_height``.  These ``Fraction``s are built on read, the
+    vertices cached; boxes compare by value."""
 
-    a_bar: Fraction
-    b_bar: Fraction
-    c_bar: Fraction
-    orthogonal_edge: tuple[Fraction, Fraction]
-    tangent_edge: tuple[tuple[tuple[Fraction, Fraction], Fraction], ...]
-    total_height: Fraction
+    denom: int
+    a: int
+    b: int
+    c: int
+    rden: int
+    r1: int
+    r2: int
+
+    a_bar = cached_property(lambda box: Fraction(box.a, box.denom))
+    b_bar = cached_property(lambda box: Fraction(box.b, box.denom))
+    c_bar = cached_property(lambda box: Fraction(box.c, box.denom))
+    orthogonal_edge = property(lambda box: (box.a_bar, box.c_bar))
+    strip_height = property(lambda box: Fraction(box.r1, box.rden))
+    total_height = property(lambda box: Fraction(box.r1 + box.r2, box.rden))
 
     @property
-    def strip_height(self) -> Fraction:
-        """Flight time over the entry segment [a_bar, b_bar]."""
-        return self.tangent_edge[0][1]
+    def tangent_edge(self) -> tuple:
+        r2 = Fraction(self.r2, self.rden)
+        return ((self.a_bar, self.b_bar), self.strip_height), ((self.b_bar, self.c_bar), r2)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FlowBox) and self.tangent_edge == other.tangent_edge
+
+    def __hash__(self) -> int:
+        return hash(self.tangent_edge)
 
 
-def _first_singular(sing, d: int, lo, hi) -> int | None:
-    """The first of the sorted numerators ``sing`` over ``d`` in [lo, hi],
-    lo and hi being integers or ``Fraction``s, or None."""
-    k = bisect.bisect_left(sing, -(-lo.numerator * d // lo.denominator))
-    if k < len(sing) and sing[k] * hi.denominator <= hi.numerator * d:
-        return sing[k]
-    return None
+def _box(flow: SuspensionFlow, denom: int, a: int, b: int, c: int) -> FlowBox:
+    """The box over the edge [a, c] with vertex b, numerators over a multiple
+    ``denom`` of ``flow.denom``.  Raises what ``VirtualEdge.validate`` raises
+    (checked on integers), SingularityInBox when a singular point lies on
+    [a, c] and ValueError when the strip [a, b] leaves its roof cell."""
+    base, up, lift = flow.base, denom // flow.base.denom, denom // flow.denom
+    piece = bisect.bisect_right(base.cuts, a // up) - 1
+    # validate's conditions on integers; where one fails, validate raises its error
+    in_piece = 0 <= a < base.cuts[-1] * up and a < b < c < base.cuts[piece + 1] * up
+    if not (in_piece and b - a == c - b == base.shifts[piece] * up):
+        VirtualEdge(*_fractions((a, b, c), denom)).validate(base)
+
+    sing, cuts = flow.sing, flow.cuts
+    k = bisect.bisect_left(sing, -(-a // lift))  # the first singular point >= a
+    if k < len(sing) and sing[k] * lift <= c:
+        raise SingularityInBox(Fraction(sing[k], flow.denom))
+    cell = bisect.bisect_right(cuts, a // lift) - 1
+    if cuts[cell + 1] * lift < b:
+        raise ValueError("roof is not constant over the box strip")
+    r2 = flow.rnums[bisect.bisect_right(cuts, b // lift) - 1]
+    return FlowBox(denom, a, b, c, flow.rden, flow.rnums[cell], r2)
 
 
 def build_flow_box(flow: SuspensionFlow, edge: VirtualEdge) -> FlowBox:
-    """Assemble the simple flow box bounded by the edge and its orbit arc.
-
-    Raises SingularityInBox when a singular point lies on [a_bar, c_bar]
-    (either flight would die).
-    """
-    edge.validate(flow.base)
-    a_bar, b_bar, c_bar = edge.s, edge.e1, edge.t
-    d = flow.denom
-
-    hit = _first_singular(flow.sing, d, a_bar, c_bar)
-    if hit is not None:
-        raise SingularityInBox(Fraction(hit, d))
-
-    cell = lattice_cell(flow.cuts, d, a_bar)
-    if flow.cuts[cell + 1] * b_bar.denominator < b_bar.numerator * d:
-        raise ValueError("roof is not constant over the box strip")
-    n1, n2 = flow.rnums[cell], flow.rnums[lattice_cell(flow.cuts, d, b_bar)]
-    r1, r2 = Fraction(n1, flow.rden), Fraction(n2, flow.rden)
-    return FlowBox(
-        a_bar=a_bar,
-        b_bar=b_bar,
-        c_bar=c_bar,
-        orthogonal_edge=(a_bar, c_bar),
-        tangent_edge=(((a_bar, b_bar), r1), ((b_bar, c_bar), r2)),
-        total_height=Fraction(n1 + n2, flow.rden),
-    )
+    """The simple flow box bounded by the edge and its orbit arc, on the
+    least lattice holding both.  Raises ValueError for an edge that
+    ``VirtualEdge.validate`` rejects and SingularityInBox when a singular
+    point lies on [a_bar, c_bar] (either flight would die)."""
+    ends = (edge.s, edge.e1, edge.t)
+    denom = math.lcm(flow.denom, *(x.denominator for x in ends))
+    return _box(flow, denom, *_numerators(ends, denom))
 
 
 @dataclass(frozen=True)
@@ -238,7 +242,7 @@ def make_twist_family(
     of that budget, r1 and r2 being the roofs of the two flights: half of it
     when they are equal, past it (NoClosingInRange) when r2 > 3 * r1."""
     if sigma_max is None:
-        sigma_max = _float_gap(box.c_bar, box.a_bar) / (2.0 * float(box.total_height))
+        sigma_max = (box.c - box.a) / box.denom / (2.0 * ((box.r1 + box.r2) / box.rden))
     return TwistFamily(flow, box, sigma_max, drift_rate)
 
 
@@ -272,9 +276,9 @@ def twisted_return(family: TwistFamily, t: float, x: float) -> tuple[float, floa
     if _near_singular(x, flow):
         raise LeftBoxUndefined(f"orbit starts in the singular gap at {x}")
 
-    a = float(family.box.a_bar)
-    b = float(family.box.b_bar)
-    r1 = float(family.box.strip_height)
+    box = family.box
+    # int / int rounds as float(Fraction) does: here and below, public values' floats
+    a, b, r1 = box.a / box.denom, box.b / box.denom, box.r1 / box.rden
     tau = b - a  # box strip sits inside one continuity interval
     v = t * family.drift_rate
 
@@ -288,8 +292,6 @@ def twisted_return(family: TwistFamily, t: float, x: float) -> tuple[float, floa
         position = x_top + tau
         time = r1
     else:
-        # int / int rounds correctly, as float(Fraction) does, so these
-        # are the floats of the public cuts
         cell = bisect.bisect_right(flow.cuts, x, key=lambda c: c / flow.denom) - 1
         base = flow.base
         piece = bisect.bisect_right(base.cuts, x, key=lambda c: c / base.denom) - 1
@@ -309,9 +311,8 @@ def _continuation_point(family: TwistFamily, t: float) -> float:
     vertex once the closing parameter is passed.  With drift away from
     a_bar the arc hugs the tangent edge and the endpoint stays a_bar.
     """
-    a = float(family.box.a_bar)
-    b = float(family.box.b_bar)
-    r1 = float(family.box.strip_height)
+    box = family.box
+    a, b, r1 = box.a / box.denom, box.b / box.denom, box.r1 / box.rden
     u = t * family.drift_rate
     if u >= 0:
         return a
@@ -372,14 +373,14 @@ def find_closing_parameter(
         raise NoClosingInRange("sigma_max is zero; no twist budget")
     if family.drift_rate >= 0:
         raise NoClosingInRange("drift does not pull crossings back toward a_bar")
-    sigma1 = _float_gap(box.b_bar, box.a_bar) / (float(box.strip_height) * -family.drift_rate)
+    sigma1 = (box.b - box.a) / box.denom / (box.r1 / box.rden * -family.drift_rate)
     if sigma1 > sigma:
         raise NoClosingInRange(
             f"closing parameter {sigma1} exceeds sigma_max {sigma}; "
             "shrink the box or extend the twist budget"
         )
 
-    b = float(box.b_bar)
+    b = box.b / box.denom
     position, flight = twisted_return(family, sigma1, b)
     residual = abs(position - b)
     if residual > tolerance:
@@ -456,15 +457,16 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
         yield state
 
 
-def _pick_admissible_edge(flow: SuspensionFlow, blocked: list) -> VirtualEdge | None:
-    """Leftmost edge whose strip stays under one roof cell and whose span
-    avoids every singular point.
+def _pick_admissible_edge(flow: SuspensionFlow, blocked: list) -> FlowBox | None:
+    """The box over the leftmost edge whose strip stays under one roof cell
+    and whose span avoids every singular point.
 
     An edge family lives in one base piece, so only the partition cells
     inside it are scanned, on the flow's lattice.  Where a singular point
     blocks a cell's leftmost edge, the exact candidates just right of each
     singular point in the cell, ``DEFAULT_WITNESS_GAP`` past it or half
-    way to the cell's end, are tried in turn."""
+    way to the cell's end, are tried in turn; each one blocked is appended
+    to ``blocked`` with the singular point blocking it."""
     base, cuts, sing, d = flow.base, flow.cuts, flow.sing, flow.denom
     lift = d // base.denom
     for i, tau in enumerate(base.shifts):
@@ -476,19 +478,19 @@ def _pick_admissible_edge(flow: SuspensionFlow, blocked: list) -> VirtualEdge | 
             sub_lo, sub_sup = cuts[j], min(s_sup, cuts[j + 1] - off)
             if sub_lo >= sub_sup:
                 continue
-            hit = _first_singular(sing, 1, sub_lo, sub_lo + 2 * off)  # on the lattice
-            if hit is None:
-                return VirtualEdge(*(Fraction(sub_lo + k * off, d) for k in range(3)))
+            ends = (sub_lo, sub_lo + off, sub_lo + 2 * off)
+            try:
+                return _box(flow, d, *ends)
+            except SingularityInBox as exc:
+                blocked.append((VirtualEdge(*_fractions(ends, d)), exc.point))
             offset = Fraction(off, d)
-            candidates = [Fraction(sub_lo, d)]
             for q in sing[bisect.bisect_left(sing, sub_lo) : bisect.bisect_left(sing, sub_sup)]:
-                candidates.append(Fraction(q, d) + min(DEFAULT_WITNESS_GAP, Fraction(sub_sup - q, 2 * d)))
-            for s in candidates:
+                s = Fraction(q, d) + min(DEFAULT_WITNESS_GAP, Fraction(sub_sup - q, 2 * d))
                 edge = VirtualEdge(s, s + offset, s + 2 * offset)
-                hit = _first_singular(sing, d, s, edge.t)
-                if hit is None:
-                    return edge
-                blocked.append((edge, Fraction(hit, d)))
+                try:
+                    return build_flow_box(flow, edge)
+                except SingularityInBox as exc:
+                    blocked.append((edge, exc.point))
     return None
 
 
@@ -528,16 +530,14 @@ def close_at_point(
                 continue
             b = induced.base_length
             flow_n = induced_suspension(flow, b)
-            edge = _pick_admissible_edge(flow_n, blocked)
-            if edge is not None:
+            box = _pick_admissible_edge(flow_n, blocked)
+            if box is not None:
                 break
         else:
             raise NoEdgeInNeighborhood(n, blocked=blocked)
         flow = flow_n
-        box = build_flow_box(flow, edge)
-        tau = _float_gap(edge.e1, edge.s)
-        r1 = float(box.strip_height)
-        sigma_budget = float(b) / (2.0 * float(box.total_height))
+        tau, r1 = (box.b - box.a) / box.denom, box.r1 / box.rden
+        sigma_budget = flow.cuts[-1] / flow.denom / (2.0 * ((box.r1 + box.r2) / box.rden))
         drift = -2.0 * tau / (r1 * sigma_budget)
         family = TwistFamily(flow, box, sigma_max=sigma_budget, drift_rate=drift)
         results.append(find_closing_parameter(family, tolerance, scale=b))

@@ -305,13 +305,12 @@ def rauzy_orbit(iet: Iet, depth: int) -> RauzyTrajectory:
 def shortened_base(state: Iet) -> tuple[int, bool]:
     """The next base of the probe walk on the lattice of ``state`` (m >= 2),
     b - min(L_last, L_beta) with beta the interval whose image is last, as
-    in a Rauzy move, and whether no Rauzy move reaches it (a tie or a
-    reducible permutation).  Every point returns to it within two steps."""
+    in a Rauzy move, and whether L_last == L_beta, a tie no Rauzy move
+    passes.  Every point returns to it within two steps."""
     cuts, m = state.cuts, state.m
     beta = state.permutation.index(m)
     l_last, l_beta = cuts[m] - cuts[m - 1], cuts[beta + 1] - cuts[beta]
-    tie = l_last == l_beta or not is_irreducible(state.permutation)
-    return cuts[m] - min(l_last, l_beta), tie
+    return cuts[m] - min(l_last, l_beta), l_last == l_beta
 
 
 def probe_walk(iet: Iet) -> Iterator[tuple[Iet, bool]]:
@@ -323,7 +322,7 @@ def probe_walk(iet: Iet) -> Iterator[tuple[Iet, bool]]:
     current, tied = iet, False
     while current.m > 1:
         top, tie = shortened_base(current)
-        tied = tied or tie
+        tied = tied or tie or not is_irreducible(current.permutation)
         current = induce(current, Fraction(top, current.denom), 2).induced
         yield current, tied
 

@@ -1,7 +1,9 @@
 """Suspension flow boxes, twisted returns, and the closing parameter."""
 
+import copy
 import hashlib
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -44,6 +46,16 @@ def tenth_flow(singular_points=()):
 def tenth_box(flow=None):
     flow = flow or tenth_flow()
     return build_flow_box(flow, VirtualEdge(F(0), F(1, 10), F(1, 5)))
+
+
+def assert_twist_floats(box):
+    """Each float the twist step reads off the box's integers (int / int)
+    is the float of the public ``Fraction`` it stands for: a, b, b - a,
+    c - a, r1 and r1 + r2."""
+    d, rden = box.denom, box.rden
+    reads = (box.a / d, box.b / d, (box.b - box.a) / d, (box.c - box.a) / d, box.r1 / rden)
+    exact = (box.a_bar, box.b_bar, box.b_bar - box.a_bar, box.c_bar - box.a_bar, box.strip_height)
+    assert reads + ((box.r1 + box.r2) / rden,) == tuple(map(float, exact + (box.total_height,)))
 
 
 def integrate_oracle(flow, box, drift_rate, t, x0, dy=1e-6):
@@ -111,6 +123,25 @@ class TestBuildFlowBox:
             assert info.value.point == q and str(info.value) == f"singular point {q} blocks the flow box"
         for q in (s - tiny, s + F(1, 5) + tiny):
             assert build_flow_box(tenth_flow([q]), edge).c_bar == s + F(1, 5)
+
+    @pytest.mark.parametrize("q", [F(0), F(1, 10), F(3, 7), F(7, 11)])
+    def test_twist_floats_off_the_lattice(self, q):
+        # a witness-gap edge DEFAULT_WITNESS_GAP past a singular point
+        flow = SuspensionFlow(rotation(F(1, 10)), (F(1, 3), F(5, 7)), (q,))
+        s = q + DEFAULT_WITNESS_GAP
+        box = build_flow_box(flow, VirtualEdge(s, s + F(1, 10), s + F(1, 5)))
+        assert box.denom == math.lcm(flow.denom, 10**6)
+        assert (box.a_bar, box.total_height) == (s, F(2, 3))
+        assert_twist_floats(box)
+
+    def test_equal_by_value_across_lattices(self):
+        box = tenth_box()
+        lifted = tenth_box(tenth_flow([F(7, 11)]))
+        assert (box.denom, lifted.denom) == (10, 110)
+        for other in (lifted, pickle.loads(pickle.dumps(lifted)), copy.deepcopy(lifted)):
+            assert other == box and hash(other) == hash(box)
+        taller = tenth_box(SuspensionFlow(rotation(F(1, 10)), (F(2), F(1))))
+        assert taller != box and taller.orthogonal_edge == box.orthogonal_edge
 
     def test_strip_may_end_on_a_cell_end_but_not_one_unit_past_it(self):
         # a singular point away from the box puts the flow on thousandths
@@ -668,7 +699,8 @@ class TestLatticeEdgePick:
         seen = Counter()
         for flow in self.placed_flows(41, 600):
             blocked, expected = [], []
-            edge = _pick_admissible_edge(flow, blocked)
+            box = _pick_admissible_edge(flow, blocked)
+            edge = None if box is None else VirtualEdge(box.a_bar, box.b_bar, box.c_bar)
             assert edge == pick_oracle(flow, expected), flow
             assert blocked == expected, flow
             for found, hit in blocked:
@@ -761,7 +793,9 @@ class TestSuspensionWalk:
                 continue
             for r in results:
                 box, induced = r.family.box, r.family.flow
-                VirtualEdge(box.a_bar, box.b_bar, box.c_bar).validate(induced.base)
+                a, b, c = box.a_bar, box.b_bar, box.c_bar
+                VirtualEdge(a, b, c).validate(induced.base)
+                assert box.tangent_edge == (((a, b), induced.roof_at(a)), ((b, c), induced.roof_at(b)))
                 position, _ = twisted_return(r.family, r.sigma1, float(box.b_bar))
                 assert abs(position - float(box.b_bar)) <= 1e-9
                 for x in induced.partition[:-1]:
@@ -795,7 +829,9 @@ class TestSuspensionWalk:
             except IetError as exc:
                 rows.append(type(exc).__name__)
                 continue
-            boxes = (r.family.box for r in results)
+            boxes = [r.family.box for r in results]
+            for box in boxes:
+                assert_twist_floats(box)
             rows.append(
                 "closed "
                 + " ".join(f"{x.a_bar},{x.b_bar},{x.c_bar}:{r.sigma1.hex()}" for x, r in zip(boxes, results))

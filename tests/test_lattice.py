@@ -23,7 +23,9 @@ from ietflow import (
     NotInduced,
     OutOfDomain,
     ReduciblePermutation,
+    SuspensionFlow,
     TieEncountered,
+    build_flow_box,
     induce,
     make_iet,
     rauzy_step,
@@ -471,9 +473,13 @@ class TestImageCheck:
         assert off_lattice > 1000
 
     def test_validate_against_the_evaluate_oracle(self):
+        # the flow box core checks the same conditions on integers and
+        # raises validate's errors; under one roof per piece and with no
+        # singular point, it builds a box exactly for the valid edges
         rng = random.Random(34)
         passed = failed = 0
         for iet, tiny in lattice_exchanges(rng, 300):
+            flow = SuspensionFlow(iet, [1] * iet.m)
             _, witnesses = max_disjoint_edges(iet)
             edges = list(witnesses)
             for s in (iet.base_length * F(rng.randrange(10**6), 10**6 + 3) for _ in range(5)):
@@ -491,6 +497,7 @@ class TestImageCheck:
             for edge in edges:
                 expected = raised(validate_oracle, edge, iet)
                 assert raised(edge.validate, iet) == expected, (iet, edge)
+                assert raised(build_flow_box, flow, edge) == expected, (iet, edge)
                 passed += expected is None
                 failed += expected is not None
         assert passed > 500 and failed > 1000
