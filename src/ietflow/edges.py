@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
 from .iet import Iet, RationalLike, as_rational, make_iet
-from .induction import induce, is_irreducible, probe_walk
+from .induction import edge_count, induce, is_irreducible, probe_counts
 
 DEFAULT_WITNESS_GAP = Fraction(1, 10**6)
 
@@ -113,14 +113,9 @@ def max_disjoint_edges(iet: Iet, with_witness: bool = True) -> tuple[int, list[V
     endpoint over the family description realizes the same count.
     """
     # the family of subinterval i has width L - 2*tau and edge length
-    # 2*tau, read on the exchange's integer lattice
-    total = 0
+    # 2*tau; ``edge_count`` sums their packings on the integer lattice
+    total = edge_count(iet.cuts, iet.shifts)
     witnesses: list[VirtualEdge] = []
-    cuts = iet.cuts
-    for i, tau in enumerate(iet.shifts):
-        width = cuts[i + 1] - cuts[i] - 2 * tau
-        if tau > 0 and width > 0:
-            total += _packing_count(width, 2 * tau)
     if not with_witness:
         return total, witnesses
     for fam in find_virtual_edges(iet):
@@ -206,10 +201,10 @@ _CERTIFIED_NOTE = (
 
 
 def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
-    """The first ``depth`` scales of ``probe_walk`` and whether the walk
-    passed a tie or a reducible permutation within them."""
-    walk = list(islice(probe_walk(iet), depth))
-    return [state.base_length for state, _ in walk], any(tied for _, tied in walk)
+    """The first ``depth`` scales of the probe walk (``probe_counts``) and
+    whether the walk passed a tie or a reducible permutation within them."""
+    walk = list(islice(probe_counts(iet), depth))
+    return [Fraction(top, iet.denom) for top, *_ in walk], any(tied for _, _, tied, _, _ in walk)
 
 
 def probe_edge_criterion(
@@ -220,7 +215,8 @@ def probe_edge_criterion(
 ) -> EdgeCriterionReport:
     """Probe the edge quota at each scale of a decreasing sequence.
 
-    Default scales are the first ``depth`` of ``probe_walk``; explicit
+    Default scales are the first ``depth`` of the probe walk, whose edge
+    counts ``probe_counts`` keeps as it goes; explicit
     ``scales`` are all probed, and ``depth`` is then only validated.  The
     verdict is conjunctive over the probed scales: any failing scale
     refutes at this depth (probing stops there), and so does an identity,
@@ -241,17 +237,19 @@ def probe_edge_criterion(
             raise ValueError("scales must lie in (0, base]")
         # each scale's first return is induced from the one before, tie flags off
         chain = accumulate(resolved, lambda state, b: induce(state, b).induced, initial=iet)
-        walk = zip(islice(chain, 1, None), repeat(False))
+        states = islice(chain, 1, None)
+        counts = (max_disjoint_edges(state, with_witness=False)[0] for state in states)
+        walk = zip(resolved, counts, repeat(False))
     else:
-        walk = islice(probe_walk(iet), depth)
+        core = islice(probe_counts(iet), depth)
+        walk = ((Fraction(top, iet.denom), count, tie) for top, count, tie, _, _ in core)
 
     # the walk advances with the scan: no first return past the first
     # failure; a tie flag never turns back off, so the last one covers the sweep
     probes: list[ProbeEntry] = []
     tie = False
-    for state, tie in walk:
-        count, _ = max_disjoint_edges(state, with_witness=False)
-        probes.append(ProbeEntry(state.base_length, count, count >= criterion.threshold))
+    for scale, count, tie in walk:
+        probes.append(ProbeEntry(scale, count, count >= criterion.threshold))
         if not probes[-1].passed:
             break
     if not probes or not probes[-1].passed:
@@ -349,14 +347,16 @@ def sample_iet(rng: random.Random, m: int, resolution: int) -> tuple[Iet, int]:
 
 
 def _probe_sample(job) -> SampleOutcome:
-    """Worker body: the visit-based outcome of one sampled exchange."""
+    """Worker body: the visit-based outcome of one sampled exchange.  Its
+    counts come from the probe walk's core, ``probe_counts``, by arithmetic
+    within each run of Rauzy moves; a run ends in one first return, and
+    no state is built within it."""
     index, iet, threshold, depth = job
     probed = passed = 0
     first = None
     tie = False  # the last tie flag covers the sweep
-    for state, tie in islice(probe_walk(iet), depth):
+    for _, count, tie, _, _ in islice(probe_counts(iet), depth):
         probed += 1
-        count, _ = max_disjoint_edges(state, with_witness=False)
         if count >= threshold:
             passed += 1
             first = first or probed

@@ -2,8 +2,12 @@
 
 Two independent routes to the same renormalization are kept side by side:
 
-* ``probe_walk`` chains first returns, each state to the base that
-  ``shortened_base`` gives, by exact interval propagation (``induce``), and
+* the probe walk (``probe_counts``) steps to the bases that
+  ``shortened_base`` gives.  It does each run of same-type Rauzy moves by
+  arithmetic on integer lengths and shifts (Zorich's accelerated
+  induction) and ends each run by one exact first return (``induce``)
+  from the run's start, whose edge count must match the run's;
+  ``probe_walk`` builds the states of its scales the same way, and
 * ``rauzy_step`` performs one Rauzy-Veech move on the translations,
   without any propagation: the points that leave the shortened base come
   back through the last interval, so its translation is added to theirs.
@@ -20,7 +24,8 @@ walk state must equal the n-step Rauzy state, exactly, as canonical maps.
 Every first return takes its lattice, range check and step budget from
 ``base_lattice`` and ``default_return_budget``.  ``closing._return_maps``
 stays a second walk since it carries the return times the budget reads;
-the benchmark's contract keeps ``induce`` as the ``measure`` step.
+the benchmark's contract keeps ``induce`` as the ``measure`` step, once
+per run.
 """
 
 from __future__ import annotations
@@ -313,18 +318,101 @@ def shortened_base(state: Iet) -> tuple[int, bool]:
     return cuts[m] - min(l_last, l_beta), l_last == l_beta
 
 
+def edge_count(cuts, shifts) -> int:
+    """The most pairwise disjoint virtual edges of the exchange moving
+    [cuts[i], cuts[i + 1]) by shifts[i]: each piece with 0 < 2 tau < L
+    holds ceil((L - 2 tau) / (2 tau)) of them (``edges.max_disjoint_edges``)."""
+    total = 0
+    for i, tau in enumerate(shifts):
+        width = cuts[i + 1] - cuts[i] - 2 * tau
+        if tau > 0 and width > 0:
+            total += -(-width // (2 * tau))
+    return total
+
+
+def probe_counts(iet: Iet) -> Iterator[tuple[int, int, bool, Iet, int]]:
+    """The probe walk of ``iet``, lazily, ending after an identity map: per
+    scale its numerator over ``iet.denom``, the state's ``edge_count``,
+    whether the walk has passed a tie or a reducible permutation, and the
+    last materialized state (the anchor) with the number of moves past it.
+
+    From an anchor, a run of Rauzy moves of one type is done on integers.
+    Labels keep their lengths and shifts; a move takes the winner's length
+    down by the loser's and adds the winner's shift to the loser's.  In a
+    top run the winner is the domain-last interval and the losers are the
+    intervals whose images lie right of its image, from the right,
+    cyclically; in a bottom run the winner is the image-last interval and
+    the losers those right of it in the domain.  Only those two terms of
+    the count change.  A run ends before a move of the other type, a tie
+    or a move that makes equal-shift neighbours merge; the state there is
+    the first return from the anchor, ``induce`` with the budget moves + 1
+    (a move adds at most one step to a return), and its count must equal
+    the run's.  A tie, a merge or a reducible anchor takes the chained
+    ``induce`` to its ``shortened_base``, within two steps.
+    """
+    denom, anchor, tied = iet.denom, iet, False
+    count = edge_count(iet.cuts, iet.shifts)
+    while anchor.m > 1:
+        cuts, shifts, perm, m = anchor.cuts, list(anchor.shifts), anchor.permutation, anchor.m
+        lengths = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+        top, moves = cuts[m], 0
+        beta = perm.index(m)
+        irreducible = is_irreducible(perm)
+        if irreducible and lengths[m - 1] != lengths[beta]:
+            bottom = lengths[m - 1] < lengths[beta]
+            if bottom:  # ``after`` is the label right of the winner in the domain
+                w, losers, after = beta, range(m - 1, beta, -1), beta + 1
+            else:
+                w, image = m - 1, sorted(range(m), key=perm.__getitem__)
+                losers = image[: perm[w] - 1 : -1]
+            lw, tw = lengths[w], shifts[w]
+            while True:  # the losers come round cyclically
+                for x in losers:
+                    lx, sx = lengths[x], shifts[x]
+                    tx = sx + tw
+                    if lw <= lx:  # a tie, or a move of the other type
+                        break
+                    if bottom:  # x moves in right of the winner
+                        if tx == tw or (after != x and tx == shifts[after]):
+                            break
+                        after = x
+                    elif (x and tx == shifts[x - 1]) or tx == shifts[x + 1]:
+                        break
+                    if tw > 0:
+                        count += (lw - lx - 1) // (2 * tw) - (lw - 1) // (2 * tw)
+                    if tx > 0:
+                        count += (lx - 1) // (2 * tx)
+                    if sx > 0:
+                        count -= (lx - 1) // (2 * sx)
+                    shifts[x], lw, top, moves = tx, lw - lx, top - lx, moves + 1
+                    yield top, count, tied, anchor, moves
+                else:
+                    continue
+                break
+        if moves:
+            b = Fraction(top, denom)
+            anchor = induce(anchor, b, moves + 1).induced
+            found = edge_count(anchor.cuts, anchor.shifts)
+            if found != count:
+                raise NotInduced(f"a run to {b} counts {count} edges, its first return {found}")
+            continue
+        top, tie = shortened_base(anchor)
+        tied = tied or tie or not irreducible
+        anchor = induce(anchor, Fraction(top, denom), 2).induced
+        count = edge_count(anchor.cuts, anchor.shifts)
+        yield top, count, tied, anchor, 0
+
+
 def probe_walk(iet: Iet) -> Iterator[tuple[Iet, bool]]:
-    """Chained first returns of ``iet`` to the bases of ``shortened_base``,
-    on its lattice, lazily, ending after an identity map, each with whether
-    the walk has passed a tie or a reducible permutation.  Away from those
-    the states are the Rauzy states, which ``rauzy_step`` computes by an
-    independent route (see ``check_induction_consistency``)."""
-    current, tied = iet, False
-    while current.m > 1:
-        top, tie = shortened_base(current)
-        tied = tied or tie or not is_irreducible(current.permutation)
-        current = induce(current, Fraction(top, current.denom), 2).induced
-        yield current, tied
+    """The states of ``probe_counts``, each with whether the walk has passed
+    a tie or a reducible permutation.  A state is built when it is reached,
+    as the first return from the last anchor.  Away from ties and reducible
+    permutations the states are the Rauzy states, which ``rauzy_step``
+    computes by an independent route (see ``check_induction_consistency``)."""
+    for top, _, tied, anchor, moves in probe_counts(iet):
+        if moves:
+            anchor = induce(anchor, Fraction(top, anchor.denom), moves + 1).induced
+        yield anchor, tied
 
 
 def rescale(iet: Iet, to_base: RationalLike) -> Iet:

@@ -33,8 +33,9 @@ from ietflow import (
     twisted_return,
 )
 from ietflow.closing import TwistFamily, _pick_admissible_edge, _return_maps, induced_suspension
-from ietflow.edges import DEFAULT_WITNESS_GAP, VirtualEdge, find_virtual_edges, probe_walk, sample_iet
-from ietflow.induction import induce
+from ietflow.edges import DEFAULT_WITNESS_GAP, VirtualEdge, find_virtual_edges, sample_iet, sample_uniform_iet
+from ietflow.errors import ReduciblePermutation, TieEncountered
+from ietflow.induction import induce, probe_walk, rauzy_step
 from ietflow.serialize import flow_from_dict, flow_to_dict
 from .test_iet_core import rotation
 
@@ -232,6 +233,27 @@ class TestTwistedReturn:
             family = make_twist_family(flow, box, drift_rate=rate)
             pos, _ = twisted_return(family, t, x0)
             assert abs(pos - integrate_oracle(flow, box, rate, t, x0, dy=1e-5)) < 1e-4
+
+    def test_taller_strip_than_second_flight(self):
+        # the strip [0, 1/10] ends on a cell end under roof r1 = 3, and the
+        # second flight, over [1/10, 1/5], has roof r2 = 1: the closing
+        # orbit reaches the wall exactly at the strip's top, not past it
+        part = (F(0), F(1, 10), F(9, 10), F(1))
+        flow = SuspensionFlow(rotation(F(1, 10)), (F(3), F(1), F(1)), partition=part)
+        box = build_flow_box(flow, VirtualEdge(F(0), F(1, 10), F(1, 5)))
+        assert (box.r1 / box.rden, box.r2 / box.rden) == (3.0, 1.0)
+        family = make_twist_family(flow, box)
+        result = find_closing_parameter(family, 1e-9)
+        assert result.sigma1 == pytest.approx(0.1 / (3 * 4))
+        assert result.sigma1 / family.sigma_max == pytest.approx((3 + 1) / (4 * 3))
+        position, flight = twisted_return(family, result.sigma1, result.periodic_point)
+        assert flight == 3.0 and position == pytest.approx(0.1, abs=1e-12)
+        # half way to the closing twist the vertex orbit drifts half way to a
+        t = result.sigma1 / 2
+        position, flight = twisted_return(family, t, 0.1)
+        assert flight == 3.0 and position == pytest.approx(0.15, abs=1e-12)
+        dense = integrate_oracle(flow, box, family.drift_rate, t, 0.1, dy=1e-4)
+        assert position == pytest.approx(dense, abs=1e-4)
 
     def test_singular_gap_raises(self):
         flow = tenth_flow([F(3, 5)])
@@ -710,6 +732,47 @@ class TestLatticeEdgePick:
             seen["witness"] += edge is not None and edge.s not in flow.partition
             seen["refined"] += flow.denom != flow.base.denom
         assert min(seen.values()) >= 20, seen
+
+
+def random_roofs(rng, iet):
+    return [F(rng.randint(1, 9)) for _ in range(iet.m)]
+
+
+class TestRauzyHeights:
+    """Roofs under Rauzy moves: for a flow whose roof is constant on the
+    base pieces, a move acts on the roofs h by the transpose of its matrix,
+    h' = B^T h, an oracle that propagates no flight."""
+
+    def test_chained_suspension_follows_the_moves(self):
+        # 120 flows, m = 2..5, lengths on 10^-6, roofs 1..9, 12 scales each.
+        # A tie, a reducible state or merged neighbours is no such move:
+        # that state is skipped, and its flow starts afresh from new roofs.
+        # Here 17 of the 1440 states are skipped, all of them merges
+        rng = random.Random(18)
+        checked = skipped = 0
+        for i in range(120):
+            iet, _ = sample_uniform_iet(rng, 2 + i % 4, 10**6)
+            flow = SuspensionFlow(iet, random_roofs(rng, iet))
+            for state, _ in islice(probe_walk(iet), 12):
+                parent, h = flow.base, list(flow.roof)
+                m, beta = parent.m, parent.permutation.index(parent.m)
+                flow = induced_suspension(flow, state.base_length)
+                try:
+                    _, kind = rauzy_step(parent)
+                except (TieEncountered, ReduciblePermutation):
+                    kind = None
+                if kind is None or state.m < m:
+                    skipped += 1
+                    flow = SuspensionFlow(state, random_roofs(rng, state))
+                    continue
+                if kind == "top":  # beta's roof gains the last interval's
+                    h[beta] += h[m - 1]
+                else:  # beta's split-off right part flies on through the last interval
+                    h = h[: beta + 1] + [h[beta] + h[m - 1]] + h[beta + 1 : m - 1]
+                assert flow.base == state and flow.partition == state.breakpoints
+                assert flow.roof == tuple(h)
+                checked += 1
+        assert (checked, skipped) == (1423, 17)
 
 
 class TestSuspensionWalk:

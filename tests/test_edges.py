@@ -27,12 +27,11 @@ from ietflow.edges import (
     VirtualEdge,
     _probe_sample,
     default_probe_scales,
-    probe_walk,
     sample_iet,
     sample_uniform_iet,
 )
 from ietflow.errors import ReduciblePermutation, ReturnTimeExceeded, TieEncountered
-from ietflow.induction import induce, rauzy_step
+from ietflow.induction import induce, probe_walk, rauzy_step
 from ietflow.serialize import dump_iet
 from .test_iet_core import random_iet, rotation
 

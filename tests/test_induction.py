@@ -3,6 +3,7 @@
 import bisect
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import islice
 
@@ -10,6 +11,7 @@ import pytest
 
 from ietflow import (
     Iet,
+    NotInduced,
     ReduciblePermutation,
     ReturnTimeExceeded,
     SuspensionFlow,
@@ -24,8 +26,16 @@ from ietflow import (
 )
 from ietflow import induction
 from ietflow.closing import induced_suspension
-from ietflow.edges import default_probe_scales
-from ietflow.induction import base_lattice, default_return_budget, first_returns, probe_walk
+from ietflow.edges import default_probe_scales, max_disjoint_edges, sample_uniform_iet
+from ietflow.induction import (
+    base_lattice,
+    default_return_budget,
+    first_returns,
+    is_irreducible,
+    probe_counts,
+    probe_walk,
+    shortened_base,
+)
 from .test_iet_core import random_iet, rotation
 
 
@@ -540,3 +550,99 @@ class TestInductionConsistency:
         assert len(check_induction_consistency(parent, 6).entries) == 6
         monkeypatch.setattr(induction, "probe_walk", lambda iet: islice(walk(iet), 1, None))
         assert not check_induction_consistency(parent, 6).all_passed
+
+
+def chained_walk(iet):
+    """The probe walk by chained first returns: each state induced from the
+    one before to its ``shortened_base``, with its scale's numerator, its
+    edge count, the sticky tie flag and the state itself."""
+    state, tied = iet, False
+    while state.m > 1:
+        top, tie = shortened_base(state)
+        tied = tied or tie or not is_irreducible(state.permutation)
+        state = induce(state, F(top, state.denom), 2).induced
+        yield top, max_disjoint_edges(state, with_witness=False)[0], tied, state
+
+
+def assert_walk_matches_chain(iet, depth=None):
+    """The core's (scale, count, tied) at every scale, and the state
+    ``probe_walk`` builds there, equal the chained walk's; returns the
+    core's entries and why each chained step was taken."""
+    core = list(islice(probe_counts(iet), depth))
+    chain = list(islice(chained_walk(iet), depth))
+    assert [entry[:3] for entry in core] == [entry[:3] for entry in chain]
+    for (state, tied), (_, _, chain_tied, chained) in zip(probe_walk(iet), chain):
+        assert (state.denom, state.cuts, state.shifts) == (chained.denom, chained.cuts, chained.shifts)
+        assert tied == chain_tied
+    steps = Counter()
+    for (*_, moves), previous in zip(core, [iet] + [entry[3] for entry in chain]):
+        if not moves:  # a chained step: past a tie, a reducible state or a merge
+            if shortened_base(previous)[1]:
+                steps["tie"] += 1
+            elif not is_irreducible(previous.permutation):
+                steps["reducible"] += 1
+            else:
+                steps["merge"] += 1
+    return core, steps
+
+
+class TestProbeCounts:
+    """The walk's runs of Rauzy moves on integers against chained ``induce``."""
+
+    def test_seeded_exchanges(self):
+        # m = 2..6 at resolutions 12, 1000 and 10^6, 120 scales at most;
+        # every kind of chained step is met, and most walks end
+        rng = random.Random(23)
+        runs, steps, longest, whole = 0, Counter(), 0, 0
+        for i in range(90):
+            m, resolution = 2 + i % 5, (12, 1000, 10**6)[i // 5 % 3]
+            iet, _ = sample_uniform_iet(rng, m, resolution)
+            core, kinds = assert_walk_matches_chain(iet, 120)
+            steps.update(kinds)
+            runs += sum(moves == 1 for *_, moves in core)
+            longest = max(longest, *(moves for *_, moves in core))
+            whole += core[-1][3].m == 1 and not core[-1][4]
+        assert (runs, longest, whole) == (770, 117, 76)
+        assert steps == {"tie": 127, "merge": 37, "reducible": 1}
+
+    def test_tie_fixture_walks_past_its_tie(self):
+        iet = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
+        core, steps = assert_walk_matches_chain(iet)
+        assert len(core) == 239 and sum(tied for _, _, tied, _, _ in core) == 220
+        assert core[-1][3].m == 1 and steps["tie"] >= 1
+
+    def test_slow_rotation_is_one_bottom_run(self):
+        # 998 bottom moves to the tie at 2/1000; the run ends in one first
+        # return whose pieces take up to 999 steps, the budget moves + 1
+        core, steps = assert_walk_matches_chain(rotation(F(1, 1000)))
+        assert [moves for *_, moves in core] == list(range(1, 999)) + [0]
+        assert (core[-1][0], core[-1][3].m, steps) == (1, 1, {"tie": 1})
+
+    @pytest.mark.parametrize("lengths", [(F(1, 2), F(3, 10), F(1, 5)), (F(1, 5), F(3, 10), F(1, 2))])
+    def test_first_move_merges(self, lengths):
+        # on [3, 2, 1] the loser gains the winner's shift, which makes it
+        # equal to its neighbour's, in a bottom move (first lengths) and in
+        # a top move alike, so the first state is a rotation
+        iet = make_iet(lengths, [3, 2, 1])
+        core, steps = assert_walk_matches_chain(iet)
+        top, _, tied, anchor, moves = core[0]
+        assert (moves, anchor.m, tied, F(top, iet.denom)) == (0, 2, False, F(4, 5))
+        assert steps["merge"] == 1
+
+    def test_reducible_exchange(self):
+        iet = make_iet([F(1, 4), F(1, 4), F(1, 8), F(3, 8)], [2, 1, 4, 3])
+        core, steps = assert_walk_matches_chain(iet)
+        assert [(F(top, iet.denom), tied, moves) for top, _, tied, _, moves in core] == [
+            (F(k, 8), True, 0) for k in (7, 6, 5, 4, 2)
+        ]
+        assert steps == {"reducible": 2, "tie": 3}
+
+    def test_run_end_count_is_checked(self, monkeypatch):
+        # the first return that ends a run must count what the run's
+        # arithmetic counted; here every count after the first reads one more
+        counted = induction.edge_count
+        calls = iter(range(10**6))
+        monkeypatch.setattr(induction, "edge_count", lambda c, s: counted(c, s) + (next(calls) > 0))
+        with pytest.raises(NotInduced) as info:
+            list(probe_counts(rotation(F(1, 1000))))
+        assert str(info.value) == "a run to 1/500 counts 0 edges, its first return 1"
