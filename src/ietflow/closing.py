@@ -28,15 +28,15 @@ a closed form, evaluated in floating point without any search; the float
 twisted kernel, whose floats are read off the lattices, re-validates it by
 forward integration.
 
-Closing walks down the scales of ``probe_walk``, chained first returns to
-shortened bases (Rauzy states away from ties, cross-checked by
-``rauzy_step``), and stops on exact invariants: a scale <= p or an
-identity return map.  It also stops where a return outgrows the budget
-``induce`` would give that scale.  A first-return suspension is built
-only at a scale whose return map meets the edge quota, from the previous
-closing's suspension.  The return times along the walk and the roofs are
-the weights of the integer kernel ``first_returns``, whose pieces are the
-new flow's lattice.
+Closing walks down the scales of the probe walk (``probe_counts``; Rauzy
+states away from ties, cross-checked by ``rauzy_step``), with return
+times carried through each run of Rauzy moves on integers, and stops on
+exact invariants: a scale <= p or an identity return map.  It also stops
+where a return outgrows the budget ``induce`` would give that scale.  A
+first-return suspension is built only at a scale whose edge count meets
+the quota, from the previous closing's suspension.  The return times at
+each run's end and the roofs are the weights of the integer kernel
+``first_returns``, whose pieces are the new flow's lattice.
 """
 
 from __future__ import annotations
@@ -56,16 +56,11 @@ from .errors import (
     ReturnTimeExceeded,
     SingularityInBox,
 )
-from .edges import (
-    DEFAULT_WITNESS_GAP,
-    ClosingCriterion,
-    VirtualEdge,
-    max_disjoint_edges,
-)
+from .edges import DEFAULT_WITNESS_GAP, ClosingCriterion, VirtualEdge
 from .iet import Iet, RationalLike, as_rational, lattice_cell
 # unused ``induce`` is read by test_tracer_rebinds_every_import_site_and_restores_them
-from .induction import base_lattice, default_return_budget, first_returns, induce, return_map
-from .induction import shortened_base
+from .induction import base_lattice, default_return_budget, first_returns, induce, probe_counts
+from .induction import return_map
 
 SINGULAR_SNAP = 1e-12
 
@@ -247,9 +242,19 @@ def make_twist_family(
 
 
 def _check_coherent(family: TwistFamily) -> None:
-    base = family.flow.base
-    box = family.box
-    if not base._maps_to(box.a_bar, box.b_bar) or not base._maps_to(box.b_bar, box.c_bar):
+    """ContinuationBroken unless the base exchange maps a to b and b to c;
+    read on the base's lattice where the box lies on it (a multiple of
+    ``base.denom``) and inside the base, else through ``Iet._maps_to``."""
+    base, box = family.flow.base, family.box
+    up, rest = divmod(box.denom, base.denom)
+    cuts, shifts = base.cuts, base.shifts
+    if rest == 0 and 0 <= box.a < cuts[-1] * up and 0 <= box.b < cuts[-1] * up:
+        step_a = shifts[bisect.bisect_right(cuts, box.a // up) - 1] * up
+        step_b = shifts[bisect.bisect_right(cuts, box.b // up) - 1] * up
+        coherent = box.a + step_a == box.b and box.b + step_b == box.c
+    else:
+        coherent = base._maps_to(box.a_bar, box.b_bar) and base._maps_to(box.b_bar, box.c_bar)
+    if not coherent:
         raise ContinuationBroken("box vertices do not follow the flow's return map")
 
 
@@ -428,33 +433,26 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
     return object.__new__(SuspensionFlow)._set(return_map(pieces, denom), flow.K, *lattice)
 
 
-def _return_maps(base: Iet, p: Fraction) -> Iterator[Iet]:
-    """The states of ``probe_walk`` on ``base`` above p, lazily, ending
-    after an identity map: every smaller return map of an identity is the
-    identity too.
+def _return_maps(base: Iet, p: Fraction) -> Iterator[tuple]:
+    """The entries of ``probe_counts`` on ``base`` above p, weighted by
+    return times, lazily, ending after an identity map: every smaller
+    return map of an identity is the identity too.
 
-    The return time of every point is kept on integer numerators, as cells
-    of constant return time and translation.  Each state is the first
-    return of the previous one to its ``shortened_base``, reached within
-    two steps, so one ``first_returns`` run weighted by the return times
-    gives the state and its cells.  A return longer than the budget
-    ``induce`` gives the state's scale, ``default_return_budget`` on the
+    The walk starts from ones, so each entry's last term is the longest
+    return to its scale, in steps of ``base``.  A return longer than the
+    budget ``induce`` gives the scale, ``default_return_budget`` on the
     lattice of ``base``, raises ReturnTimeExceeded, so a long run of small
     steps (a rotation by 1/N shrinks the base by 1/N a step) ends the walk.
+    Both checks run at every scale, the cutoff first.
     """
-    state, cuts, shifts, times = base, base.cuts, base.shifts, [1] * base.m
-    while state.m > 1:
-        top, _ = shortened_base(state)  # on the lattice of ``base``
+    for entry in probe_counts(base, [1] * base.m):
+        top, longest = entry[0], entry[5]  # on the lattice of ``base``
         if top * p.denominator <= p.numerator * base.denom:  # b <= p
             return
-        pieces, _ = first_returns(cuts, shifts, times, [], top, 2, base.denom)
-        state = return_map(pieces, base.denom)
-        cuts, _, shifts, _, times = zip(*pieces)
-        cuts += (top,)
         budget = default_return_budget(base.m, base.cuts[-1], top)
-        if max(times) > budget:
+        if longest > budget:
             raise ReturnTimeExceeded(budget, scale=Fraction(top, base.denom))
-        yield state
+        yield entry
 
 
 def _pick_admissible_edge(flow: SuspensionFlow, blocked: list) -> FlowBox | None:
@@ -503,11 +501,13 @@ def close_at_point(
 ) -> list[ClosingResult]:
     """Close orbits through shrinking neighborhoods [0, b_n) of p.
 
-    The steps share one lazy walk down the scales of ``probe_walk``.  Each
-    step takes the next scale whose return map meets the edge quota and
-    whose first-return suspension, built from the previous step's, has an
-    admissible edge; its twist budget is proportional to the neighborhood
-    width, so successive closing parameters shrink with the neighborhoods.
+    The steps share one lazy walk down the scales of the probe walk
+    (``_return_maps``), which counts each scale's edges as it goes and
+    builds no state within a run of Rauzy moves.  Each step takes the next
+    scale whose count meets the edge quota and whose first-return
+    suspension, built from the previous step's, has an admissible edge;
+    its twist budget is proportional to the neighborhood width, so
+    successive closing parameters shrink with the neighborhoods.
     Raises NoEdgeInNeighborhood(n), listing the edges a singular point
     blocked, once the walk reaches a scale <= p or an identity return map,
     below which every return map is the identity, and ReturnTimeExceeded
@@ -520,15 +520,14 @@ def close_at_point(
         raise ValueError("shrink_steps must be >= 1")
 
     results: list[ClosingResult] = []
-    threshold = criterion.threshold
+    threshold, denom = criterion.threshold, flow.base.denom
     maps = _return_maps(flow.base, p)
     for n in range(1, shrink_steps + 1):
         blocked: list = []
-        for induced in maps:
-            count, _ = max_disjoint_edges(induced, with_witness=False)
+        for top, count, _, _, _, _ in maps:
             if count < threshold:
                 continue
-            b = induced.base_length
+            b = Fraction(top, denom)
             flow_n = induced_suspension(flow, b)
             box = _pick_admissible_edge(flow_n, blocked)
             if box is not None:

@@ -204,7 +204,7 @@ def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
     """The first ``depth`` scales of the probe walk (``probe_counts``) and
     whether the walk passed a tie or a reducible permutation within them."""
     walk = list(islice(probe_counts(iet), depth))
-    return [Fraction(top, iet.denom) for top, *_ in walk], any(tied for _, _, tied, _, _ in walk)
+    return [Fraction(top, iet.denom) for top, *_ in walk], any(tied for _, _, tied, _, _, _ in walk)
 
 
 def probe_edge_criterion(
@@ -242,7 +242,7 @@ def probe_edge_criterion(
         walk = zip(resolved, counts, repeat(False))
     else:
         core = islice(probe_counts(iet), depth)
-        walk = ((Fraction(top, iet.denom), count, tie) for top, count, tie, _, _ in core)
+        walk = ((Fraction(top, iet.denom), count, tie) for top, count, tie, _, _, _ in core)
 
     # the walk advances with the scan: no first return past the first
     # failure; a tie flag never turns back off, so the last one covers the sweep
@@ -355,7 +355,7 @@ def _probe_sample(job) -> SampleOutcome:
     probed = passed = 0
     first = None
     tie = False  # the last tie flag covers the sweep
-    for _, count, tie, _, _ in islice(probe_counts(iet), depth):
+    for _, count, tie, _, _, _ in islice(probe_counts(iet), depth):
         probed += 1
         if count >= threshold:
             passed += 1

@@ -5,9 +5,10 @@ Two independent routes to the same renormalization are kept side by side:
 * the probe walk (``probe_counts``) steps to the bases that
   ``shortened_base`` gives.  It does each run of same-type Rauzy moves by
   arithmetic on integer lengths and shifts (Zorich's accelerated
-  induction) and ends each run by one exact first return (``induce``)
-  from the run's start, whose edge count must match the run's;
-  ``probe_walk`` builds the states of its scales the same way, and
+  induction), carrying return times through the run when asked, and ends
+  each run by one exact first return from the run's start, whose edge
+  count and longest return must match the run's; ``probe_walk`` builds
+  the states of its scales, each from the one before, and
 * ``rauzy_step`` performs one Rauzy-Veech move on the translations,
   without any propagation: the points that leave the shortened base come
   back through the last interval, so its translation is added to theirs.
@@ -22,10 +23,10 @@ closing walk weigh roofs and return times with it.
 walk state must equal the n-step Rauzy state, exactly, as canonical maps.
 
 Every first return takes its lattice, range check and step budget from
-``base_lattice`` and ``default_return_budget``.  ``closing._return_maps``
-stays a second walk since it carries the return times the budget reads;
-the benchmark's contract keeps ``induce`` as the ``measure`` step, once
-per run.
+``base_lattice`` and ``default_return_budget``.  The probe walk is also
+the closing walk (``closing._return_maps`` weighs it with return times);
+without weights a run ends in ``induce``, the benchmark's contract for
+the ``measure`` step, once per run.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -330,35 +331,52 @@ def edge_count(cuts, shifts) -> int:
     return total
 
 
-def probe_counts(iet: Iet) -> Iterator[tuple[int, int, bool, Iet, int]]:
+def probe_counts(
+    iet: Iet, weights: Sequence[int] | None = None
+) -> Iterator[tuple[int, int, bool, Iet, int, int | None]]:
     """The probe walk of ``iet``, lazily, ending after an identity map: per
     scale its numerator over ``iet.denom``, the state's ``edge_count``,
-    whether the walk has passed a tie or a reducible permutation, and the
-    last materialized state (the anchor) with the number of moves past it.
+    whether the walk has passed a tie or a reducible permutation, the last
+    materialized state (the anchor) with the number of moves past it, and,
+    given ``weights`` (one integer per interval of ``iet``), the largest
+    sum of weights along a return orbit: with ones, the longest return
+    time.  Without weights that entry is None.
 
     From an anchor, a run of Rauzy moves of one type is done on integers.
-    Labels keep their lengths and shifts; a move takes the winner's length
-    down by the loser's and adds the winner's shift to the loser's.  In a
-    top run the winner is the domain-last interval and the losers are the
-    intervals whose images lie right of its image, from the right,
-    cyclically; in a bottom run the winner is the image-last interval and
-    the losers those right of it in the domain.  Only those two terms of
-    the count change.  A run ends before a move of the other type, a tie
-    or a move that makes equal-shift neighbours merge; the state there is
-    the first return from the anchor, ``induce`` with the budget moves + 1
-    (a move adds at most one step to a return), and its count must equal
-    the run's.  A tie, a merge or a reducible anchor takes the chained
-    ``induce`` to its ``shortened_base``, within two steps.
+    Labels keep their lengths, shifts and weights; a move takes the
+    winner's length down by the loser's and adds the winner's shift and
+    weight to the loser's (Veech's h' = B^T h).  In a top run the winner is
+    the domain-last interval and the losers are the intervals whose images
+    lie right of its image, from the right, cyclically; in a bottom run the
+    winner is the image-last interval and the losers those right of it in
+    the domain.  Only those two terms of the count change.  A run ends
+    before a move of the other type, a tie or a move that makes
+    equal-shift neighbours merge; the state there is the first return from
+    the anchor with the budget moves + 1 (a move adds at most one step to
+    a return), and its count and longest return must equal the run's.
+    Without weights that first return is ``induce``; with them it is a
+    weighted ``first_returns`` over the anchor's cells of constant weight,
+    whose pieces are the next anchor's cells.  A run starts only where the
+    cells are the anchor's intervals.  A tie, a merge, a reducible anchor
+    or cells that refine its intervals take the chained first return to
+    its ``shortened_base``, within two steps.
     """
-    denom, anchor, tied = iet.denom, iet, False
-    count = edge_count(iet.cuts, iet.shifts)
+    denom, anchor, tied, moves = iet.denom, iet, False, 0
+    count, longest, cells = edge_count(iet.cuts, iet.shifts), None, None
+    if weights is not None:
+        if len(weights) != iet.m:
+            raise ValueError("need one weight per interval")
+        cells, longest = (iet.cuts, iet.shifts, tuple(weights)), max(weights)
     while anchor.m > 1:
         cuts, shifts, perm, m = anchor.cuts, list(anchor.shifts), anchor.permutation, anchor.m
+        # a run ends in a Rauzy state, and Rauzy moves keep a permutation irreducible
+        irreducible = moves > 0 or is_irreducible(perm)
         lengths = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
         top, moves = cuts[m], 0
         beta = perm.index(m)
-        irreducible = is_irreducible(perm)
-        if irreducible and lengths[m - 1] != lengths[beta]:
+        runs = cells is None or len(cells[0]) == m + 1  # one weight per interval
+        if runs and irreducible and lengths[m - 1] != lengths[beta]:
+            sums = None if cells is None else list(cells[2])
             bottom = lengths[m - 1] < lengths[beta]
             if bottom:  # ``after`` is the label right of the winner in the domain
                 w, losers, after = beta, range(m - 1, beta, -1), beta + 1
@@ -384,35 +402,49 @@ def probe_counts(iet: Iet) -> Iterator[tuple[int, int, bool, Iet, int]]:
                         count += (lx - 1) // (2 * tx)
                     if sx > 0:
                         count -= (lx - 1) // (2 * sx)
+                    if sums:
+                        sums[x] = total = sums[x] + sums[w]
+                        longest = max(longest, total)
                     shifts[x], lw, top, moves = tx, lw - lx, top - lx, moves + 1
-                    yield top, count, tied, anchor, moves
+                    yield top, count, tied, anchor, moves, longest
                 else:
                     continue
                 break
-        if moves:
+        if not moves:
+            top, tie = shortened_base(anchor)
+            tied = tied or tie or not irreducible
+        steps = moves + 1 if moves else 2  # a chained step returns within two
+        if cells is None:
+            anchor = induce(anchor, Fraction(top, denom), steps).induced
+        else:
+            pieces, _ = first_returns(*cells, [], top, steps, denom)
+            anchor = return_map(pieces, denom)
+            starts, _, offsets, _, totals = zip(*pieces)
+            cells = starts + (top,), offsets, totals
+        found = edge_count(anchor.cuts, anchor.shifts)
+        most = None if cells is None else max(cells[2])
+        if not moves:
+            count, longest = found, most
+            yield top, count, tied, anchor, 0, longest
+        elif found != count:
             b = Fraction(top, denom)
-            anchor = induce(anchor, b, moves + 1).induced
-            found = edge_count(anchor.cuts, anchor.shifts)
-            if found != count:
-                raise NotInduced(f"a run to {b} counts {count} edges, its first return {found}")
-            continue
-        top, tie = shortened_base(anchor)
-        tied = tied or tie or not irreducible
-        anchor = induce(anchor, Fraction(top, denom), 2).induced
-        count = edge_count(anchor.cuts, anchor.shifts)
-        yield top, count, tied, anchor, 0
+            raise NotInduced(f"a run to {b} counts {count} edges, its first return {found}")
+        elif most != longest:
+            b = Fraction(top, denom)
+            raise NotInduced(f"a run to {b} returns within {longest}, its first return within {most}")
 
 
 def probe_walk(iet: Iet) -> Iterator[tuple[Iet, bool]]:
     """The states of ``probe_counts``, each with whether the walk has passed
-    a tie or a reducible permutation.  A state is built when it is reached,
-    as the first return from the last anchor.  Away from ties and reducible
+    a tie or a reducible permutation.  A state is built when it is reached:
+    within a run, as the first return from the state before it, within two
+    steps; else it is the core's anchor.  Away from ties and reducible
     permutations the states are the Rauzy states, which ``rauzy_step``
     computes by an independent route (see ``check_induction_consistency``)."""
-    for top, _, tied, anchor, moves in probe_counts(iet):
-        if moves:
-            anchor = induce(anchor, Fraction(top, anchor.denom), moves + 1).induced
-        yield anchor, tied
+    state = iet
+    for top, _, tied, anchor, moves, _ in probe_counts(iet):
+        state = induce(state, Fraction(top, iet.denom), 2).induced if moves else anchor
+        yield state, tied
 
 
 def rescale(iet: Iet, to_base: RationalLike) -> Iet:

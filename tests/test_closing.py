@@ -32,12 +32,23 @@ from ietflow import (
     make_twist_family,
     twisted_return,
 )
-from ietflow.closing import TwistFamily, _pick_admissible_edge, _return_maps, induced_suspension
-from ietflow.edges import DEFAULT_WITNESS_GAP, VirtualEdge, find_virtual_edges, sample_iet, sample_uniform_iet
-from ietflow.errors import ReduciblePermutation, TieEncountered
-from ietflow.induction import induce, probe_walk, rauzy_step
+from ietflow import induction
+from ietflow.closing import FlowBox, TwistFamily, _pick_admissible_edge, _return_maps, induced_suspension
+from ietflow.edges import DEFAULT_WITNESS_GAP, VirtualEdge, find_virtual_edges, max_disjoint_edges
+from ietflow.edges import sample_iet, sample_uniform_iet
+from ietflow.errors import NotInduced, ReduciblePermutation, TieEncountered
+from ietflow.induction import first_returns, induce, probe_counts, probe_walk, rauzy_step, return_map
+from ietflow.induction import shortened_base
 from ietflow.serialize import flow_from_dict, flow_to_dict
 from .test_iet_core import rotation
+
+
+def walk_states(entries):
+    """The state at each entry of the probe walk's core (``probe_counts``
+    or ``_return_maps``): the entry's anchor, or its first return to the
+    entry's scale within moves + 1 steps."""
+    for top, _, _, anchor, moves, _ in entries:
+        yield induce(anchor, F(top, anchor.denom), moves + 1).induced if moves else anchor
 
 
 def tenth_flow(singular_points=()):
@@ -291,6 +302,37 @@ class TestContinuation:
         with pytest.raises(ContinuationBroken):
             continuation_curve(family, 4)
 
+    def test_incoherent_box_rejected_on_and_off_the_base_lattice(self):
+        # on the base's lattice the vertices are checked on integers; off
+        # it (a denominator the base's does not divide) and outside the
+        # base through Fractions, with the same errors
+        tenth = tenth_flow()
+        fifth = SuspensionFlow(Iet.from_lattice(10, [0, 8, 10], [2, -8]), (F(1), F(1)))
+        cases = [
+            (tenth, FlowBox(10, 0, 1, 2, 1, 1, 1), None),
+            (tenth, FlowBox(20, 16, 18, 0, 1, 1, 1), None),
+            (tenth, FlowBox(10, 0, 1, 3, 1, 1, 1), ContinuationBroken),
+            (tenth, FlowBox(10, 0, 2, 3, 1, 1, 1), ContinuationBroken),
+            (tenth, FlowBox(30, 3, 6, 10, 1, 1, 1), ContinuationBroken),
+            (tenth, FlowBox(10, 0, 11, 12, 1, 1, 1), ContinuationBroken),
+            (tenth, FlowBox(10, -1, 0, 1, 1, 1, 1), OutOfDomain),
+            (fifth, FlowBox(5, 0, 1, 2, 1, 1, 1), None),
+            (fifth, FlowBox(15, 0, 3, 6, 1, 1, 1), None),
+            (fifth, FlowBox(15, 0, 3, 7, 1, 1, 1), ContinuationBroken),
+            (fifth, FlowBox(5, 0, 1, 3, 1, 1, 1), ContinuationBroken),
+            (fifth, FlowBox(5, 4, 0, 1, 1, 1, 1), None),
+            (fifth, FlowBox(5, 4, 0, 2, 1, 1, 1), ContinuationBroken),
+        ]
+        for flow, box, error in cases:
+            family = TwistFamily(flow, box, sigma_max=0.05, drift_rate=-4.0)
+            if error is None:
+                assert len(continuation_curve(family, 4)) == 4
+                continue
+            with pytest.raises(error):
+                continuation_curve(family, 4)
+            with pytest.raises(error):
+                find_closing_parameter(family)
+
 
 def sweep_oracle(family, resolution=1e-6, tolerance=1e-9):
     """First sweep parameter at which the forward orbit of the vertex
@@ -464,7 +506,7 @@ class TestRauzyScaleClosing:
             close_at_point(tenth_flow(), 0, ClosingCriterion(-3, 1), 7)
         assert info.value.step == 7
         # the Rauzy states tie at 1/5; the first return to 1/10 is the identity
-        maps = list(islice(_return_maps(tenth_flow().base, 0), 9))
+        maps = list(walk_states(islice(_return_maps(tenth_flow().base, 0), 9)))
         assert maps[:-1] == [rotation(F(1, 10), F(k, 10)) for k in range(9, 1, -1)]
         assert maps[-1] == identity_iet(F(1, 10))
 
@@ -497,7 +539,7 @@ class TestRauzyScaleClosing:
         raised = 0
         for i in range(240):
             iet, _ = sample_iet(rng, 2 + i % 4, 1000 if i % 3 else 60)
-            maps = _return_maps(iet, 0)
+            maps = walk_states(_return_maps(iet, 0))
             for state, _ in islice(probe_walk(iet), 40):
                 try:
                     induce(iet, state.base_length)
@@ -511,6 +553,99 @@ class TestRauzyScaleClosing:
                     break
                 assert next(maps) == state
         assert raised >= 3
+
+
+def chained_return_walk(base):
+    """The closing walk by chained first returns: each state is the first
+    return of the one before to its ``shortened_base``, one ``first_returns``
+    run within two steps over cells weighted by return times.  Yields the
+    scale's numerator, the state and the longest return to the scale."""
+    state, cuts, shifts, times = base, base.cuts, base.shifts, (1,) * base.m
+    while state.m > 1:
+        top, _ = shortened_base(state)
+        pieces, _ = first_returns(cuts, shifts, times, [], top, 2, base.denom)
+        state = return_map(pieces, base.denom)
+        cuts, _, shifts, _, times = zip(*pieces)
+        cuts += (top,)
+        yield top, state, max(times)
+
+
+def assert_weighted_walk(base, depth=None):
+    """The core's (scale, count, longest return) with unit weights at each
+    of the first ``depth`` scales, three ways: against the chained weighted
+    walk, ``max_disjoint_edges`` of its state and the return times of one
+    direct ``induce`` from ``base``; the state at each entry is the chained
+    state.  Returns the core's entries and how many of them are chained
+    steps where the unweighted walk runs (cells that refine the state)."""
+    core = list(islice(probe_counts(base, [1] * base.m), depth))
+    chain = list(islice(chained_return_walk(base), depth))
+    assert len(core) == len(chain)
+    for entry, state, (top, chained, longest) in zip(core, walk_states(core), chain):
+        count, _ = max_disjoint_edges(chained, with_witness=False)
+        assert (entry[0], entry[1], entry[5]) == (top, count, longest)
+        assert max(induce(base, F(top, base.denom), 10**6).return_times) == longest
+        assert (state.denom, state.cuts, state.shifts) == (chained.denom, chained.cuts, chained.shifts)
+    unweighted = islice(probe_counts(base), depth)
+    refined = sum(weighted[4] == 0 < plain[4] for weighted, plain in zip(core, unweighted))
+    return core, refined
+
+
+class TestWeightedWalk:
+    """The closing walk's return times, carried through each run of Rauzy
+    moves (a loser's return time gains the winner's)."""
+
+    def test_seeded_exchanges(self):
+        # m = 2..6 at resolutions 12, 1000 and 10^6, 40 scales at most
+        rng = random.Random(22)
+        runs = refined = 0
+        for i in range(45):
+            iet, _ = sample_uniform_iet(rng, 2 + i % 5, (12, 1000, 10**6)[i // 5 % 3])
+            core, fallback = assert_weighted_walk(iet, 40)
+            runs += sum(entry[4] > 1 for entry in core)
+            refined += fallback
+        assert (runs, refined) == (657, 157)
+
+    def test_slow_rotation_is_one_bottom_run(self):
+        core, refined = assert_weighted_walk(rotation(F(1, 1000)))
+        assert [entry[4] for entry in core] == list(range(1, 999)) + [0]
+        assert core[-2][5] == 999 and refined == 0
+
+    def test_merge_refines_the_cells(self):
+        # the first move merges, so the cells refine the first state's
+        # intervals and the walk takes chained steps where the unweighted
+        # walk runs
+        core, refined = assert_weighted_walk(make_iet([F(1, 2), F(3, 10), F(1, 5)], [3, 2, 1]))
+        assert core[0][3].m == 2 and refined == 1
+
+    def test_budget_raises_inside_a_run(self):
+        # one top run shrinks the base by 1/10^9 a move; the return passing
+        # its budget, 40, at 1 - 40/10^9 ends the walk before the run does
+        base = make_iet([F(1, 10**9), 1 - F(1, 10**9)], [2, 1])
+        core, _ = assert_weighted_walk(base, 40)
+        assert [entry[4] for entry in core] == list(range(1, 41))
+        assert [entry[5] for entry in core] == list(range(2, 42))
+        walked = []
+        with pytest.raises(ReturnTimeExceeded) as info:
+            walked.extend(_return_maps(base, 0))
+        assert walked == core[:39]
+        assert (info.value.max_steps, info.value.scale) == (40, 1 - F(40, 10**9))
+
+    def test_run_end_longest_is_checked(self, monkeypatch):
+        # the first return that ends a run must return within the run's
+        # longest return; here a run end reads one step more
+        weighted = induction.first_returns
+
+        def longer(cuts, shifts, weights, singulars, top, max_steps, denom):
+            pieces, pulled = weighted(cuts, shifts, weights, singulars, top, max_steps, denom)
+            if max_steps > 2:  # a run end
+                *rest, (lo, hi, off, steps, weight) = pieces
+                pieces = rest + [(lo, hi, off, steps, weight + 1)]
+            return pieces, pulled
+
+        monkeypatch.setattr(induction, "first_returns", longer)
+        with pytest.raises(NotInduced) as info:
+            list(probe_counts(rotation(F(1, 1000)), [1, 1]))
+        assert str(info.value) == "a run to 1/500 returns within 999, its first return within 1000"
 
 
 def flight_oracle(flow, b, x, max_flights=10_000):

@@ -33,6 +33,7 @@ from ietflow.edges import (
 from ietflow.errors import ReduciblePermutation, ReturnTimeExceeded, TieEncountered
 from ietflow.induction import induce, probe_walk, rauzy_step
 from ietflow.serialize import dump_iet
+from .test_closing import walk_states
 from .test_iet_core import random_iet, rotation
 
 
@@ -298,7 +299,7 @@ class TestProbeWalk:
                     moves += 1
                 assert state.denom == iet.denom and flag == tied
                 previous = state
-            maps = _return_maps(iet, 0)
+            maps = walk_states(_return_maps(iet, 0))
             try:
                 for state, _ in walk:
                     assert lattice(next(maps)) == lattice(state)

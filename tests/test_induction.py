@@ -542,6 +542,12 @@ class TestInductionConsistency:
         assert len(report.entries) == 6
         assert not any(e.passed for e in report.entries)
 
+    def test_long_run_passes_at_every_scale(self):
+        # the rotation by 1/1000 is one bottom run of 998 moves; each state
+        # of it is built from the one before, and each equals its Rauzy state
+        report = check_induction_consistency(make_iet([F(999, 1000), F(1, 1000)], [2, 1]), 998)
+        assert len(report.entries) == 998 and report.all_passed
+
     def test_walk_that_skips_a_state_fails(self, monkeypatch):
         # the cross-check reads the walk that probe and measure run, so a
         # walk that loses its first state no longer matches the Rauzy states
@@ -575,7 +581,7 @@ def assert_walk_matches_chain(iet, depth=None):
         assert (state.denom, state.cuts, state.shifts) == (chained.denom, chained.cuts, chained.shifts)
         assert tied == chain_tied
     steps = Counter()
-    for (*_, moves), previous in zip(core, [iet] + [entry[3] for entry in chain]):
+    for (*_, moves, _), previous in zip(core, [iet] + [entry[3] for entry in chain]):
         if not moves:  # a chained step: past a tie, a reducible state or a merge
             if shortened_base(previous)[1]:
                 steps["tie"] += 1
@@ -599,8 +605,8 @@ class TestProbeCounts:
             iet, _ = sample_uniform_iet(rng, m, resolution)
             core, kinds = assert_walk_matches_chain(iet, 120)
             steps.update(kinds)
-            runs += sum(moves == 1 for *_, moves in core)
-            longest = max(longest, *(moves for *_, moves in core))
+            runs += sum(moves == 1 for *_, moves, _ in core)
+            longest = max(longest, *(moves for *_, moves, _ in core))
             whole += core[-1][3].m == 1 and not core[-1][4]
         assert (runs, longest, whole) == (770, 117, 76)
         assert steps == {"tie": 127, "merge": 37, "reducible": 1}
@@ -608,14 +614,14 @@ class TestProbeCounts:
     def test_tie_fixture_walks_past_its_tie(self):
         iet = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
         core, steps = assert_walk_matches_chain(iet)
-        assert len(core) == 239 and sum(tied for _, _, tied, _, _ in core) == 220
+        assert len(core) == 239 and sum(tied for _, _, tied, _, _, _ in core) == 220
         assert core[-1][3].m == 1 and steps["tie"] >= 1
 
     def test_slow_rotation_is_one_bottom_run(self):
         # 998 bottom moves to the tie at 2/1000; the run ends in one first
         # return whose pieces take up to 999 steps, the budget moves + 1
         core, steps = assert_walk_matches_chain(rotation(F(1, 1000)))
-        assert [moves for *_, moves in core] == list(range(1, 999)) + [0]
+        assert [moves for *_, moves, _ in core] == list(range(1, 999)) + [0]
         assert (core[-1][0], core[-1][3].m, steps) == (1, 1, {"tie": 1})
 
     @pytest.mark.parametrize("lengths", [(F(1, 2), F(3, 10), F(1, 5)), (F(1, 5), F(3, 10), F(1, 2))])
@@ -625,14 +631,14 @@ class TestProbeCounts:
         # a top move alike, so the first state is a rotation
         iet = make_iet(lengths, [3, 2, 1])
         core, steps = assert_walk_matches_chain(iet)
-        top, _, tied, anchor, moves = core[0]
+        top, _, tied, anchor, moves, _ = core[0]
         assert (moves, anchor.m, tied, F(top, iet.denom)) == (0, 2, False, F(4, 5))
         assert steps["merge"] == 1
 
     def test_reducible_exchange(self):
         iet = make_iet([F(1, 4), F(1, 4), F(1, 8), F(3, 8)], [2, 1, 4, 3])
         core, steps = assert_walk_matches_chain(iet)
-        assert [(F(top, iet.denom), tied, moves) for top, _, tied, _, moves in core] == [
+        assert [(F(top, iet.denom), tied, moves) for top, _, tied, _, moves, _ in core] == [
             (F(k, 8), True, 0) for k in (7, 6, 5, 4, 2)
         ]
         assert steps == {"reducible": 2, "tie": 3}
