@@ -443,15 +443,20 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[tuple]:
     budget ``induce`` gives the scale, ``default_return_budget`` on the
     lattice of ``base``, raises ReturnTimeExceeded, so a long run of small
     steps (a rotation by 1/N shrinks the base by 1/N a step) ends the walk.
-    Both checks run at every scale, the cutoff first.
+    Both checks run at every scale, the cutoff first.  No budget is below
+    10 * (m + 2), as b <= base, so it is computed only past that.
     """
-    for entry in probe_counts(base, [1] * base.m):
+    m, denom, base_top = base.m, base.denom, base.cuts[-1]
+    cutoff = p.numerator * denom // p.denominator  # b <= p exactly when top <= cutoff
+    least = 10 * (m + 2)
+    for entry in probe_counts(base, [1] * m):
         top, longest = entry[0], entry[5]  # on the lattice of ``base``
-        if top * p.denominator <= p.numerator * base.denom:  # b <= p
+        if top <= cutoff:
             return
-        budget = default_return_budget(base.m, base.cuts[-1], top)
-        if longest > budget:
-            raise ReturnTimeExceeded(budget, scale=Fraction(top, base.denom))
+        if longest > least:
+            budget = default_return_budget(m, base_top, top)
+            if longest > budget:
+                raise ReturnTimeExceeded(budget, scale=Fraction(top, denom))
         yield entry
 
 

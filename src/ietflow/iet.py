@@ -9,7 +9,8 @@ lengths and a permutation or from a kernel's pieces, goes through one core,
 increase from 0 and merges neighbours with equal shift, whose images abut,
 so the stored breakpoints are exactly the discontinuities of the map.  It
 then ranks the image starts, sorted as (start, index) pairs, into the
-permutation, checking on the way that the images tile the base.
+permutation and its inverse, the image order, checking on the way that
+the images tile the base.
 
 Every public value is a ``Fraction`` in lowest terms, built from the
 lattice on first read, then cached.  Rauzy moves, first returns, the edge
@@ -77,7 +78,9 @@ class Iet:
     breakpoints times ``denom`` and ``shifts[i]`` is the translation of
     subinterval i times ``denom``.  Kernel code reads these.  Construction
     checks the cuts and merges equal-shift neighbours in one pass, then
-    ranks the images by one sort (see ``from_lattice``).  The public
+    ranks the images by one sort (see ``from_lattice``); that sort's order
+    is kept as ``image_order``, the 0-based intervals left to right by
+    image, the inverse of ``permutation``.  The public
     ``Fraction`` values ``lengths``, ``breakpoints``, ``translations`` and
     ``base_length`` are built from the lattice on first read and cached;
     equality and hashing compare the lattice over its least denominator,
@@ -89,7 +92,7 @@ class Iet:
     """
 
     __slots__ = ("lengths", "permutation", "base_length", "breakpoints", "translations")
-    __slots__ += ("denom", "cuts", "shifts")  # the integer lattice
+    __slots__ += ("denom", "cuts", "shifts", "image_order")  # the integer lattice
 
     def __init__(self, lengths: Sequence[RationalLike], permutation: Sequence[int]):
         ls = [as_rational(x) for x in lengths]
@@ -110,13 +113,7 @@ class Iet:
         cuts = [0]
         for x in ls:
             cuts.append(cuts[-1] + x.numerator * (denom // x.denominator))
-        # the image of i starts after the intervals whose image sits left of i's
-        shifts = [0] * len(ls)
-        acc = 0
-        for i in sorted(range(len(ls)), key=pm.__getitem__):
-            shifts[i] = acc - cuts[i]
-            acc += cuts[i + 1] - cuts[i]
-        self._set_lattice(denom, cuts, shifts)
+        self._set_lattice(denom, cuts, image_shifts(cuts, pm))
 
     @classmethod
     def from_lattice(cls, denom: int, cuts: Sequence[int], shifts: Sequence[int]) -> Iet:
@@ -155,6 +152,7 @@ class Iet:
         # rank the image starts; the images must tile [0, base)
         starts.sort()
         perm = [0] * len(out_shifts)
+        order = []
         end = 0
         for rank, (start, i) in enumerate(starts, start=1):
             if start != end:
@@ -162,11 +160,13 @@ class Iet:
                 raise NotInduced(f"images {where} at {Fraction(min(start, end), denom)}")
             end = out_cuts[i + 1] + out_shifts[i]
             perm[i] = rank
+            order.append(i)
 
-        object.__setattr__(self, "permutation", tuple(perm))
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "cuts", tuple(out_cuts))
-        object.__setattr__(self, "shifts", tuple(out_shifts))
+        _set_permutation(self, tuple(perm))
+        _set_image_order(self, tuple(order))
+        _set_denom(self, denom)
+        _set_cuts(self, tuple(out_cuts))
+        _set_shifts(self, tuple(out_shifts))
 
     def __getattr__(self, name: str):
         # reached only for an unset slot: the public Fractions are built
@@ -235,7 +235,7 @@ class Iet:
 
     def invert(self) -> Iet:
         """The inverse exchange: each image moved back by its translation."""
-        order = sorted(range(self.m), key=self.permutation.__getitem__)
+        order = self.image_order
         cuts = [self.cuts[i] + self.shifts[i] for i in order] + [self.cuts[-1]]
         return Iet.from_lattice(self.denom, cuts, [-self.shifts[i] for i in order])
 
@@ -271,6 +271,24 @@ class Iet:
         points = sorted(p for p in cuts if 0 < p < self.base_length)
         bounds = [Fraction(0)] + points + [self.base_length]
         return list(zip(bounds[:-1], bounds[1:]))
+
+
+# the lattice slots' own setters, which pass the guard in ``Iet.__setattr__``
+_set_permutation, _set_image_order, _set_denom, _set_cuts, _set_shifts = (
+    getattr(Iet, name).__set__ for name in ("permutation", "image_order", "denom", "cuts", "shifts")
+)
+
+
+def image_shifts(cuts: Sequence[int], permutation: Sequence[int]) -> list[int]:
+    """The shifts that lay the intervals [cuts[i], cuts[i + 1]) side by side
+    from 0 in the image order of the 1-indexed ``permutation``: the image
+    of i starts after the intervals whose image sits left of i's."""
+    shifts = [0] * len(permutation)
+    acc = 0
+    for i in sorted(range(len(permutation)), key=permutation.__getitem__):
+        shifts[i] = acc - cuts[i]
+        acc += cuts[i + 1] - cuts[i]
+    return shifts
 
 
 def make_iet(lengths: Iterable[RationalLike], permutation: Iterable[int]) -> Iet:

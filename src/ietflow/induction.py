@@ -126,6 +126,8 @@ def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, de
     done: list[tuple[int, int, int, int, int]] = []
     pulled: set[int] = set()
     work = deque([(0, top, 0, 0, 0)])
+    # bound once: the loop below runs once per cell an orbit piece crosses
+    finish, pending, next_piece = done.append, work.append, bisect.bisect_right
     while work:
         lo, hi, off, steps, weight = work.popleft()
         if steps >= max_steps:
@@ -135,22 +137,24 @@ def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, de
         if singulars:  # skips the lookup where nothing is pulled back, as in ``induce``
             i, j = bisect.bisect_left(singulars, cur_lo), bisect.bisect_left(singulars, cur_hi)
             pulled.update(q - off for q in singulars[i:j])
-        piece = bisect.bisect_right(cuts, cur_lo) - 1
+        piece = next_piece(cuts, cur_lo) - 1
         u = cur_lo
         while u < cur_hi:
-            v = min(cuts[piece + 1], cur_hi)
+            v = cuts[piece + 1]
+            if v > cur_hi:
+                v = cur_hi
             tau = shifts[piece]
             noff = off + tau
             nweight = weight + weights[piece]
             olo, ohi = u - off, v - off
             if v + tau <= top:
-                done.append((olo, ohi, noff, steps, nweight))
+                finish((olo, ohi, noff, steps, nweight))
             elif u + tau >= top:
-                work.append((olo, ohi, noff, steps, nweight))
+                pending((olo, ohi, noff, steps, nweight))
             else:
                 mid = top - noff
-                done.append((olo, mid, noff, steps, nweight))
-                work.append((mid, ohi, noff, steps, nweight))
+                finish((olo, mid, noff, steps, nweight))
+                pending((mid, ohi, noff, steps, nweight))
             u = v
             piece += 1
 
@@ -246,7 +250,7 @@ def rauzy_step(iet: Iet) -> tuple[Iet, str]:
     if m < 2 or not is_irreducible(iet.permutation):
         raise ReduciblePermutation(f"Rauzy step undefined for {iet!r}")
     cuts, shifts = list(iet.cuts), list(iet.shifts)
-    beta = iet.permutation.index(m)  # the interval whose image is rightmost
+    beta = iet.image_order[-1]  # the interval whose image is rightmost
     l_top = cuts[m] - cuts[m - 1]
     l_bot = cuts[beta + 1] - cuts[beta]
     if l_top == l_bot:
@@ -314,7 +318,7 @@ def shortened_base(state: Iet) -> tuple[int, bool]:
     in a Rauzy move, and whether L_last == L_beta, a tie no Rauzy move
     passes.  Every point returns to it within two steps."""
     cuts, m = state.cuts, state.m
-    beta = state.permutation.index(m)
+    beta = state.image_order[-1]
     l_last, l_beta = cuts[m] - cuts[m - 1], cuts[beta + 1] - cuts[beta]
     return cuts[m] - min(l_last, l_beta), l_last == l_beta
 
@@ -360,6 +364,10 @@ def probe_counts(
     cells are the anchor's intervals.  A tie, a merge, a reducible anchor
     or cells that refine its intervals take the chained first return to
     its ``shortened_base``, within two steps.
+
+    A run is checked when the entry after it is asked for, so a caller that
+    stops inside a run leaves it unchecked: the probes stop at their depth
+    (``_probe_sample``), ``close_at_point`` after its last closing.
     """
     denom, anchor, tied, moves = iet.denom, iet, False, 0
     count, longest, cells = edge_count(iet.cuts, iet.shifts), None, None
@@ -368,12 +376,13 @@ def probe_counts(
             raise ValueError("need one weight per interval")
         cells, longest = (iet.cuts, iet.shifts, tuple(weights)), max(weights)
     while anchor.m > 1:
-        cuts, shifts, perm, m = anchor.cuts, list(anchor.shifts), anchor.permutation, anchor.m
+        cuts, shifts, perm = anchor.cuts, list(anchor.shifts), anchor.permutation
+        image, m = anchor.image_order, len(shifts)  # image: the intervals by image
         # a run ends in a Rauzy state, and Rauzy moves keep a permutation irreducible
         irreducible = moves > 0 or is_irreducible(perm)
         lengths = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
         top, moves = cuts[m], 0
-        beta = perm.index(m)
+        beta = image[-1]
         runs = cells is None or len(cells[0]) == m + 1  # one weight per interval
         if runs and irreducible and lengths[m - 1] != lengths[beta]:
             sums = None if cells is None else list(cells[2])
@@ -381,7 +390,7 @@ def probe_counts(
             if bottom:  # ``after`` is the label right of the winner in the domain
                 w, losers, after = beta, range(m - 1, beta, -1), beta + 1
             else:
-                w, image = m - 1, sorted(range(m), key=perm.__getitem__)
+                w = m - 1
                 losers = image[: perm[w] - 1 : -1]
             lw, tw = lengths[w], shifts[w]
             while True:  # the losers come round cyclically

@@ -38,7 +38,7 @@ from ietflow.edges import DEFAULT_WITNESS_GAP, VirtualEdge, find_virtual_edges, 
 from ietflow.edges import sample_iet, sample_uniform_iet
 from ietflow.errors import NotInduced, ReduciblePermutation, TieEncountered
 from ietflow.induction import first_returns, induce, probe_counts, probe_walk, rauzy_step, return_map
-from ietflow.induction import shortened_base
+from ietflow.induction import default_return_budget, shortened_base
 from ietflow.serialize import flow_from_dict, flow_to_dict
 from .test_iet_core import rotation
 
@@ -570,6 +570,30 @@ def chained_return_walk(base):
         yield top, state, max(times)
 
 
+def per_entry_return_maps(base, p):
+    """``_return_maps`` as it was: p compared and the budget computed at
+    every entry."""
+    for entry in probe_counts(base, [1] * base.m):
+        top, longest = entry[0], entry[5]
+        if top * p.denominator <= p.numerator * base.denom:  # b <= p
+            return
+        budget = default_return_budget(base.m, base.cuts[-1], top)
+        if longest > budget:
+            raise ReturnTimeExceeded(budget, scale=F(top, base.denom))
+        yield entry
+
+
+def walked(maps, limit=200):
+    """The first ``limit`` entries of a closing walk, and the budget, scale
+    and message of the ReturnTimeExceeded that ends it, if one does."""
+    entries = []
+    try:
+        entries.extend(islice(maps, limit))
+    except ReturnTimeExceeded as exc:
+        return entries, (exc.max_steps, exc.scale, str(exc))
+    return entries, None
+
+
 def assert_weighted_walk(base, depth=None):
     """The core's (scale, count, longest return) with unit weights at each
     of the first ``depth`` scales, three ways: against the chained weighted
@@ -629,6 +653,31 @@ class TestWeightedWalk:
             walked.extend(_return_maps(base, 0))
         assert walked == core[:39]
         assert (info.value.max_steps, info.value.scale) == (40, 1 - F(40, 10**9))
+
+    def test_return_maps_against_the_per_entry_checks(self):
+        # ``_return_maps`` floors p onto the base's lattice once and computes
+        # a budget only past the least one; the loop that compared p and
+        # computed the budget at every entry gives the same entries and errors
+        rng = random.Random(22)
+        bases = [sample_uniform_iet(rng, 2 + i % 5, (12, 1000, 10**6)[i // 5 % 3])[0] for i in range(45)]
+        bases.append(make_iet([F(1, 10**9), 1 - F(1, 10**9)], [2, 1]))
+        raised = cut = 0
+        for base in bases:
+            entries, error = walked(per_entry_return_maps(base, F(0)))
+            assert walked(_return_maps(base, F(0))) == (entries, error)
+            raised += error is not None
+            for k in (1, 6):
+                if k >= len(entries):
+                    continue
+                scale = F(entries[k][0], base.denom)
+                # p on a walk scale stops the walk before it; p just below
+                # it, off the base's lattice, lets the scale through
+                assert walked(_return_maps(base, scale)) == (entries[:k], None)
+                below = scale - F(1, 3 * base.denom)
+                assert walked(_return_maps(base, below)) == walked(per_entry_return_maps(base, below))
+                assert walked(_return_maps(base, below))[0][: k + 1] == entries[: k + 1]
+                cut += 1
+        assert raised > 10 and cut > 60, (raised, cut)
 
     def test_run_end_longest_is_checked(self, monkeypatch):
         # the first return that ends a run must return within the run's

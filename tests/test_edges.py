@@ -25,6 +25,7 @@ from ietflow.closing import _return_maps
 from ietflow.edges import (
     DEFAULT_WITNESS_GAP,
     VirtualEdge,
+    _irreducible_permutation,
     _probe_sample,
     default_probe_scales,
     sample_iet,
@@ -361,6 +362,39 @@ class TestMeasure:
             estimate_full_measure(4, ClosingCriterion(-3, 1), depth=1, samples=1, seed=0, resolution=3)
         iet, _ = sample_uniform_iet(random.Random(0), 2, 2)
         assert iet.lengths == (F(1, 2), F(1, 2))
+
+    def test_lattice_sampler_matches_the_fraction_route(self):
+        # the draw builds its exchange on the lattice of the resolution;
+        # the route it replaced built Fraction lengths for ``make_iet``.
+        # Both make the same rng calls in the same order
+        def fraction_route(rng, m, resolution):
+            perm, rejected = _irreducible_permutation(rng, m)
+            cuts = [0] + sorted(rng.sample(range(1, resolution), m - 1)) + [resolution]
+            lengths = [F(hi - lo, resolution) for lo, hi in zip(cuts, cuts[1:])]
+            return make_iet(lengths, perm), rejected
+
+        reduced = 0
+        for m in range(2, 7):
+            for resolution in (m, m + 1, 12, 1000, 10**6):
+                ours, theirs = random.Random(m * resolution), random.Random(m * resolution)
+                for _ in range(150):
+                    iet, rejected = sample_uniform_iet(ours, m, resolution)
+                    expected, expected_rejected = fraction_route(theirs, m, resolution)
+                    assert iet.denom == resolution and rejected == expected_rejected
+                    assert iet == expected and hash(iet) == hash(expected)
+                    assert (iet.lengths, iet.permutation) == (expected.lengths, expected.permutation)
+                    assert ours.getstate() == theirs.getstate()
+                    reduced += expected.denom < resolution
+        assert reduced > 400  # many draws have a coarser least lattice
+
+    def test_benchmark_pool_outcomes_are_pinned(self):
+        # 640 samples of the benchmark's configuration; values recorded
+        # before the sampler built its exchanges on the lattice
+        report = estimate_full_measure(4, ClosingCriterion(-3, 1), 32, 640, 101)
+        counts = {"certified_to_depth": 560, "refuted_at_depth": 80, "undecided_tie": 0}
+        assert report.counts == counts and report.reducible_draws == 567
+        digest = hashlib.sha256(repr(report.per_sample).encode()).hexdigest()
+        assert digest == "76ea9fcf4c1ae7766048533718172c00f771a722b2f79e02e09797efc16e6ada"
 
     def test_probe_and_measure_agree_past_a_tie(self, tmp_path, capsys):
         # Rauzy induction ties after 19 moves; the walk goes on by the exact

@@ -215,6 +215,44 @@ class TestPickle:
         assert min(kinds.values()) > 100, kinds
 
 
+def assert_image_order(iet):
+    """``image_order`` lists the intervals left to right by image: the
+    inverse of ``permutation``."""
+    order = iet.image_order
+    assert type(order) is tuple and sorted(order) == list(range(iet.m))
+    assert [iet.permutation[i] for i in order] == list(range(1, iet.m + 1))
+    assert order == tuple(sorted(range(iet.m), key=iet.permutation.__getitem__))
+
+
+class TestImageOrder:
+    """``Iet`` keeps the order in which ``from_lattice`` ranks the images."""
+
+    def test_inverse_of_the_permutation_everywhere(self):
+        rng = random.Random(29)
+        kinds = dict.fromkeys(("user", "lattice", "invert", "rauzy", "induced", "pickled"), 0)
+        merged = 0
+        for n in range(600):
+            m = rng.randint(1, 7)
+            fractions, perm = draw(rng, m, force_runs=n % 2 == 0)
+            user = Iet(fractions, perm)
+            denom = math.lcm(*(x.denominator for x in fractions)) * rng.randint(1, 5)
+            cuts, shifts = lattice_of(denom, [int(x * denom) for x in fractions], perm)
+            core = Iet.from_lattice(denom, cuts, shifts)
+            merged += core.m < m
+            values = [("user", user), ("lattice", core), ("invert", core.invert())]
+            state, _, _ = outcome(rauzy_step, core)
+            if state is not None:
+                values.append(("rauzy", state))
+            b = core.base_length * F(rng.randint(1, 99), 100)
+            values.append(("induced", induce(core, b, 10**4).induced))
+            values += [("pickled", pickle.loads(pickle.dumps(x))) for _, x in values]
+            for kind, x in values:
+                kinds[kind] += 1
+                assert_image_order(x)
+            assert user.image_order == core.image_order
+        assert merged > 300 and min(kinds.values()) > 200, (merged, kinds)
+
+
 class TestLatticeChecks:
     def test_overlapping_images(self):
         with pytest.raises(NotInduced, match="images overlap at 1/4"):
@@ -333,7 +371,7 @@ class TestLatticeEquality:
             assert (iet == other) == same, (iet, other)
             if same:
                 equal += 1
-                assert hash(iet) == hash(other)
+                assert hash(iet) == hash(other) and iet.image_order == other.image_order
         assert equal > 700
 
 
@@ -385,7 +423,8 @@ class TestLazyPublicValues:
 
     def test_bare_instance_has_no_attributes(self):
         bare = object.__new__(Iet)
-        for name in (*PUBLIC, "denom", "cuts", "shifts", "permutation", "m", "other"):
+        lattice = ("denom", "cuts", "shifts", "permutation", "image_order")
+        for name in (*PUBLIC, *lattice, "m", "other"):
             with pytest.raises(AttributeError):
                 getattr(bare, name)
 
