@@ -20,23 +20,20 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
 from .iet import Iet, RationalLike, as_rational, image_shifts, make_iet
-from .induction import edge_count, induce, is_irreducible, probe_counts
+from .induction import Record, edge_count, induce, is_irreducible, probe_counts
 
 DEFAULT_WITNESS_GAP = Fraction(1, 10**6)
 
 
-@dataclass(frozen=True)
-class VirtualEdge:
-    """A single edge [s, t] with its middle point e1 = E(s)."""
+class VirtualEdge(Record):
+    """A single edge [s, t] with its middle point e1 = E(s), as ``Fraction``s."""
 
-    s: Fraction
-    e1: Fraction
-    t: Fraction
+    __slots__ = ("s", "e1", "t")
 
     def validate(self, iet: Iet) -> None:
         """Re-check the defining conditions against ``iet``, independently
@@ -50,19 +47,15 @@ class VirtualEdge:
             raise ValueError(f"edge {self} leaves its continuity interval")
 
 
-@dataclass(frozen=True)
-class EdgeFamily:
+class EdgeFamily(Record):
     """All edges with left endpoint in [s_min, s_sup).
 
-    Within one subinterval of the exchange every admissible s yields the
-    edge [s, s + 2*offset]; the family is the exact description of that
-    continuum.
+    Within the subinterval ``piece`` of the exchange every admissible s
+    yields the edge [s, s + 2*offset]; the family is the exact description
+    of that continuum.
     """
 
-    s_min: Fraction
-    s_sup: Fraction
-    offset: Fraction
-    piece: int
+    __slots__ = ("s_min", "s_sup", "offset", "piece")
 
     @property
     def edge_length(self) -> Fraction:
@@ -150,18 +143,18 @@ def in_rotation_band(iet: Iet, k: int) -> bool:
 # -- criterion probing -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosingCriterion:
+class ClosingCriterion(Record):
     """Edge quota per probed scale.
 
-    The quota is chi + k + 3 clamped below at 1; the clamp is flagged so
-    reports can surface when the raw formula was non-positive.
+    The quota is chi + k + 3 clamped below at 1, with chi the
+    ``euler_characteristic`` and k >= 1; the clamp is flagged so reports
+    can surface when the raw formula was non-positive.
     """
 
-    euler_characteristic: int
-    k: int
+    __slots__ = ("euler_characteristic", "k")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -178,20 +171,21 @@ class ClosingCriterion:
         return self.raw_threshold < 1
 
 
-@dataclass(frozen=True)
-class ProbeEntry:
-    scale: Fraction
-    edge_count: int
-    passed: bool
+class ProbeEntry(Record):
+    """The edge count at one probed scale and whether it met the quota."""
+
+    __slots__ = ("scale", "edge_count", "passed")
 
 
-@dataclass(frozen=True)
-class EdgeCriterionReport:
-    criterion: ClosingCriterion
-    probes: tuple[ProbeEntry, ...]
-    verdict: str  # certified_to_depth / refuted_at_depth / undecided_tie
-    used_fallback_scales: bool
-    note: str = field(default="", compare=False)
+class EdgeCriterionReport(Record):
+    """The ``ProbeEntry``s of a probe against its ``criterion``, the
+    verdict (certified_to_depth, refuted_at_depth or undecided_tie), whether
+    the walk passed a tie, and a ``note``, which is left out of equality
+    and hashing."""
+
+    __slots__ = ("criterion", "probes", "verdict", "used_fallback_scales", "note")
+    _defaults = {"note": ""}
+    _uncompared = ("note",)
 
 
 _CERTIFIED_NOTE = (
@@ -386,7 +380,8 @@ def estimate_full_measure(
     one probed scale met the quota (renormalization found a good scale),
     refuted_at_depth when every scale failed and the walk passed no tie,
     undecided_tie when every scale failed past a tie or a reducible
-    permutation.  Deterministic for a fixed seed; worker parallelism does
+    permutation.  Deterministic for a fixed seed, which must be
+    non-negative; worker parallelism does
     not change the output (results are assembled in sample order).  The
     pool has at most ``min(workers, samples, os.cpu_count())`` processes.
     """
@@ -396,6 +391,8 @@ def estimate_full_measure(
         raise ValueError("samples must be >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if seed < 0:  # ``random.Random`` seeds with abs(seed): -7 would draw as 7
+        raise ValueError("seed must be >= 0")
     rng = random.Random(seed)
     jobs = []
     reducible_draws = 0

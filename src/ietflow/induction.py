@@ -35,15 +35,70 @@ import bisect
 import math
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInduced, ReduciblePermutation, ReturnTimeExceeded, TieEncountered
 from .iet import Iet, RationalLike, as_rational, make_iet
 
 
-@dataclass(frozen=True)
-class InducedResult:
+class Record:
+    """An immutable record whose fields are its class's ``__slots__``, in
+    order.  It is built from positional or keyword arguments, with the
+    class's ``_defaults`` for fields left out; it compares and hashes as
+    the tuple of its fields but those in ``_uncompared``, and only equals
+    a record of its own class; its repr names every field; assignment
+    raises AttributeError; it pickles and copies as its class called on
+    its fields.  Unlike a dataclass, it generates no code at import."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+    _uncompared: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        names = cls.__slots__
+        given = dict(zip(names, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+            raise TypeError(
+                f"{cls.__name__}({', '.join(names)}) called with {len(args)} positional"
+                f" arguments and the keywords {sorted(kwargs)}"
+            )
+        return [values[name] for name in names]
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name not in self._uncompared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class InducedResult(Record):
     """First-return map of ``parent`` to [0, b) plus return-time data.
 
     ``ends`` are the integer ends of the return-time pieces, from 0 to the
@@ -59,10 +114,16 @@ class InducedResult:
     of ``pieces[i]`` first re-enter [0, b).
     """
 
-    induced: Iet
-    return_times: tuple[int, ...]
-    ends: tuple[int, ...]
-    parent_top: int  # the parent's base length over ``induced.denom``
+    __slots__ = ("induced", "return_times", "ends", "parent_top")
+
+    def __init__(
+        self, induced: Iet, return_times: tuple[int, ...], ends: tuple[int, ...], parent_top: int
+    ):
+        # one per run end of the probe walk: written through the slots' own setters
+        _set_induced(self, induced)
+        _set_return_times(self, return_times)
+        _set_ends(self, ends)
+        _set_parent_top(self, parent_top)
 
     @property
     def parent_base(self) -> Fraction:
@@ -90,6 +151,11 @@ class InducedResult:
     @property
     def covers_parent(self) -> bool:
         return self._kac_numerator() == self.parent_top
+
+
+_set_induced, _set_return_times, _set_ends, _set_parent_top = (
+    getattr(InducedResult, name).__set__ for name in InducedResult.__slots__
+)
 
 
 def default_return_budget(m: int, parent_top: int, top: int) -> int:
@@ -211,12 +277,8 @@ def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> Induce
             offsets.append(off)
             times.append(steps)
 
-    return InducedResult(
-        induced=Iet.from_lattice(denom, ends, offsets),
-        return_times=tuple(times),
-        ends=tuple(ends),
-        parent_top=cuts[-1],
-    )
+    induced = Iet.from_lattice(denom, ends, offsets)
+    return InducedResult(induced, tuple(times), tuple(ends), cuts[-1])
 
 
 # -- Rauzy-Veech induction ---------------------------------------------------
@@ -272,24 +334,23 @@ def rauzy_step(iet: Iet) -> tuple[Iet, str]:
     return Iet.from_lattice(iet.denom, cuts, shifts), kind
 
 
-@dataclass(frozen=True)
-class RauzyStep:
-    kind: str
-    after: Iet
+class RauzyStep(Record):
+    """One Rauzy move: its ``kind``, "top" or "bottom", and the state ``after`` it."""
+
+    __slots__ = ("kind", "after")
 
 
-@dataclass(frozen=True)
-class RauzyTrajectory:
+class RauzyTrajectory(Record):
     """A finite run of Rauzy moves with the surviving base lengths.
 
-    ``scales[n-1]`` is the unnormalized base length after n moves; the
-    sequence is strictly decreasing.  Merging of removable breakpoints can
-    lower the interval count along the way, so m is non-increasing.
+    ``steps`` are the ``RauzyStep``s; ``scales[n-1]`` is the unnormalized
+    base length after n moves, a strictly decreasing sequence; and
+    ``halt_reason`` is "depth_reached" or "tie_encountered".  Merging of
+    removable breakpoints can lower the interval count along the way, so
+    m is non-increasing.
     """
 
-    steps: tuple[RauzyStep, ...]
-    scales: tuple[Fraction, ...]
-    halt_reason: str  # "depth_reached" or "tie_encountered"
+    __slots__ = ("steps", "scales", "halt_reason")
 
 
 def rauzy_orbit(iet: Iet, depth: int) -> RauzyTrajectory:
@@ -465,19 +526,18 @@ def rescale(iet: Iet, to_base: RationalLike) -> Iet:
     return make_iet([x * factor for x in iet.lengths], iet.permutation)
 
 
-@dataclass(frozen=True)
-class ConsistencyEntry:
-    n: int
-    scale: Fraction
-    passed: bool
+class ConsistencyEntry(Record):
+    """Whether the n-th states of the two routes agree, at base ``scale``."""
+
+    __slots__ = ("n", "scale", "passed")
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Per-depth agreement between the Rauzy route and the first-return route."""
+class ConsistencyReport(Record):
+    """Per-depth agreement between the Rauzy route and the first-return
+    route: the ``ConsistencyEntry``s and a ``halt_reason``, one of
+    depth_reached, tie_encountered and reducible."""
 
-    entries: tuple[ConsistencyEntry, ...]
-    halt_reason: str  # depth_reached / tie_encountered / reducible
+    __slots__ = ("entries", "halt_reason")
 
     @property
     def all_passed(self) -> bool:

@@ -252,6 +252,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "usage error: depth must be >= 1\n"
 
+    def test_measure_negative_seed_exit_1(self, capsys, tmp_path):
+        csv_path = tmp_path / "b.csv"
+        argv = ["measure", "--m", "4", "--samples", "50", "--seed", "-7", "--depth", "8"]
+        assert run(argv + ["--csv", str(csv_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: seed must be >= 0\n"
+        assert not csv_path.exists()
+
     def test_measure_worker_pool_bytes(self, tmp_path):
         # the worker count comes from the environment and never changes
         # the report; a count that is not an integer is a usage error
@@ -429,12 +438,17 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = run(sys.argv[1:])
     except SystemExit as exc:  # --version
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ietflow")]))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "ietflow")
+print(json.dumps([code, loaded, sorted({"dataclasses", "inspect"} & set(sys.modules))]))
 """
 FRONT = ["ietflow", "ietflow.cli", "ietflow.errors", "ietflow.iet", "ietflow.serialize"]
 WALK = FRONT + ["ietflow.induction"]
 EDGES = WALK + ["ietflow.edges"]
 EVERY = EDGES + ["ietflow.closing"]
+
+# the records of the walk layers are slotted classes; ``dataclasses``, which
+# imports ``inspect``, loads with the experiment and closing records only
+HEAVY_STDLIB = {"edges", "probe", "measure", "close"}
 
 
 class TestImportGraph:
@@ -460,9 +474,11 @@ class TestImportGraph:
     )
     def test_command_loads_only_its_layers(self, rot13_path, flow_path, argv, modules):
         argv = [a.format(iet=rot13_path, flow=flow_path) for a in argv]
-        code, loaded = json.loads(_child_stdout(_IMPORT_GRAPH, *argv))
+        code, loaded, heavy = json.loads(_child_stdout(_IMPORT_GRAPH, *argv))
         assert code == 0
         assert loaded == sorted(modules)
+        if argv[0].lstrip("-") not in HEAVY_STDLIB:
+            assert heavy == []
 
 
 @pytest.fixture

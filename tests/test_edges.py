@@ -417,6 +417,13 @@ class TestMeasure:
         with pytest.raises(ValueError, match="depth must be >= 1"):
             estimate_full_measure(3, ClosingCriterion(-3, 1), depth=depth, samples=5, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_rejected(self, seed):
+        # random.Random(-7) draws as Random(7), so a negative seed would
+        # report one seed and sample another
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            estimate_full_measure(3, ClosingCriterion(-3, 1), depth=2, samples=5, seed=seed)
+
     def test_benchmark_configuration_is_pinned(self):
         # the benchmark's measure configuration; values recorded before the
         # exchange core moved to integer numerators
