@@ -60,7 +60,6 @@ from .edges import DEFAULT_WITNESS_GAP, ClosingCriterion, VirtualEdge
 from .iet import Iet, RationalLike, as_rational, lattice_cell
 # unused ``induce`` is read by test_tracer_rebinds_every_import_site_and_restores_them
 from .induction import base_lattice, default_return_budget, first_returns, induce, probe_counts
-from .induction import return_map
 
 SINGULAR_SNAP = 1e-12
 
@@ -197,9 +196,9 @@ def _box(flow: SuspensionFlow, denom: int, a: int, b: int, c: int) -> FlowBox:
 
 def build_flow_box(flow: SuspensionFlow, edge: VirtualEdge) -> FlowBox:
     """The simple flow box bounded by the edge and its orbit arc, on the
-    least lattice holding both.  Raises ValueError for an edge that
-    ``VirtualEdge.validate`` rejects and SingularityInBox when a singular
-    point lies on [a_bar, c_bar] (either flight would die)."""
+    least lattice holding both.  Raises OutOfDomain or ValueError for an
+    edge ``VirtualEdge.validate`` rejects and SingularityInBox when a
+    singular point lies on [a_bar, c_bar] (either flight would die)."""
     ends = (edge.s, edge.e1, edge.t)
     denom = math.lcm(flow.denom, *(x.denominator for x in ends))
     return _box(flow, denom, *_numerators(ends, denom))
@@ -242,20 +241,17 @@ def make_twist_family(
 
 
 def _check_coherent(family: TwistFamily) -> None:
-    """ContinuationBroken unless the base exchange maps a to b and b to c;
-    read on the base's lattice where the box lies on it (a multiple of
-    ``base.denom``) and inside the base, else through ``Iet._maps_to``."""
+    """ContinuationBroken unless the base exchange maps a to b, then b to c,
+    read on the least lattice holding base and box; OutOfDomain, as from
+    ``Iet.evaluate``, where the vertex mapped lies outside the base."""
     base, box = family.flow.base, family.box
-    up, rest = divmod(box.denom, base.denom)
-    cuts, shifts = base.cuts, base.shifts
-    if rest == 0 and 0 <= box.a < cuts[-1] * up and 0 <= box.b < cuts[-1] * up:
-        step_a = shifts[bisect.bisect_right(cuts, box.a // up) - 1] * up
-        step_b = shifts[bisect.bisect_right(cuts, box.b // up) - 1] * up
-        coherent = box.a + step_a == box.b and box.b + step_b == box.c
-    else:
-        coherent = base._maps_to(box.a_bar, box.b_bar) and base._maps_to(box.b_bar, box.c_bar)
-    if not coherent:
-        raise ContinuationBroken("box vertices do not follow the flow's return map")
+    denom = math.lcm(base.denom, box.denom)
+    up, lift, cuts = denom // base.denom, denom // box.denom, base.cuts
+    for x, y in ((box.a * lift, box.b * lift), (box.b * lift, box.c * lift)):
+        if not 0 <= x < cuts[-1] * up:
+            lattice_cell(cuts, base.denom, Fraction(x, denom))  # raises OutOfDomain
+        if x + base.shifts[bisect.bisect_right(cuts, x // up) - 1] * up != y:
+            raise ContinuationBroken("box vertices do not follow the flow's return map")
 
 
 def _near_singular(x: float, flow: SuspensionFlow) -> bool:
@@ -329,6 +325,7 @@ def continuation_curve(family: TwistFamily, steps: int) -> list[tuple[float, flo
 
     The sampled curve starts at a_bar, is monotone in t, and every sampled
     arc crosses the base transversally (the roof is strictly positive).
+    Raises ContinuationBroken or OutOfDomain from ``_check_coherent``.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -369,7 +366,8 @@ def find_closing_parameter(
     result is re-validated by forward integration of the twisted flow from
     the periodic point; the residual must come out within ``tolerance``.
     Raises NoClosingInRange for a zero budget, a drift that does not pull
-    toward a_bar, or a budget too small for the box.
+    toward a_bar, or a budget too small for the box; ContinuationBroken or
+    OutOfDomain from ``_check_coherent``.
     """
     _check_coherent(family)
     sigma = family.sigma_max
@@ -428,9 +426,10 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
     shifts = [base.shifts[bisect.bisect_right(base.cuts, c // step) - 1] * step for c in cuts[:-1]]
     budget = default_return_budget(base.m, cuts[-1], top)
     pieces, pulled = first_returns(cuts, shifts, flow.rnums, sing, top, budget, denom)
-    ends, _, _, _, weights = zip(*pieces)
-    lattice = (denom, ends + (top,), tuple(sorted(pulled)), flow.rden, weights)
-    return object.__new__(SuspensionFlow)._set(return_map(pieces, denom), flow.K, *lattice)
+    starts, _, offsets, _, weights = zip(*pieces)
+    ends = starts + (top,)
+    lattice = (denom, ends, tuple(sorted(pulled)), flow.rden, weights)
+    return object.__new__(SuspensionFlow)._set(Iet.from_lattice(denom, ends, offsets), flow.K, *lattice)
 
 
 def _return_maps(base: Iet, p: Fraction) -> Iterator[tuple]:
@@ -444,11 +443,11 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[tuple]:
     lattice of ``base``, raises ReturnTimeExceeded, so a long run of small
     steps (a rotation by 1/N shrinks the base by 1/N a step) ends the walk.
     Both checks run at every scale, the cutoff first.  No budget is below
-    10 * (m + 2), as b <= base, so it is computed only past that.
+    the one at b = base, as b <= base, so it is computed only past that.
     """
     m, denom, base_top = base.m, base.denom, base.cuts[-1]
     cutoff = p.numerator * denom // p.denominator  # b <= p exactly when top <= cutoff
-    least = 10 * (m + 2)
+    least = default_return_budget(m, base_top, base_top)
     for entry in probe_counts(base, [1] * m):
         top, longest = entry[0], entry[5]  # on the lattice of ``base``
         if top <= cutoff:

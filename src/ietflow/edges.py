@@ -36,11 +36,12 @@ class VirtualEdge(Record):
     __slots__ = ("s", "e1", "t")
 
     def validate(self, iet: Iet) -> None:
-        """Re-check the defining conditions against ``iet``, independently
-        of whatever search produced this edge."""
+        """Re-check the defining conditions through ``iet.evaluate``, apart
+        from the search that produced this edge: OutOfDomain where s or e1
+        lies outside the base, ValueError where a condition fails."""
         if not self.s < self.e1 < self.t:
             raise ValueError(f"edge ordering violated: {self}")
-        if not iet._maps_to(self.s, self.e1) or not iet._maps_to(self.e1, self.t):
+        if iet.evaluate(self.s) != self.e1 or iet.evaluate(self.e1) != self.t:
             raise ValueError(f"edge {self} does not follow the exchange")
         piece = iet.piece_index(self.s)
         if self.t.numerator * iet.denom >= iet.cuts[piece + 1] * self.t.denominator:
@@ -71,15 +72,7 @@ class EdgeFamily(Record):
         """Largest number of pairwise disjoint closed edges drawn from this
         family (supremum over finite selections; attained up to any
         positive gap)."""
-        q = (self.s_sup - self.s_min) / self.edge_length
-        return _packing_count(q.numerator, q.denominator)
-
-
-def _packing_count(width: int, edge_length: int) -> int:
-    """Most pairwise disjoint closed edges of length ``edge_length`` whose
-    left endpoints lie in a half-open window of length ``width``, both
-    given as integer multiples of one unit: ceil(width / edge_length)."""
-    return -(-width // edge_length)
+        return -((self.s_min - self.s_sup) // self.edge_length)
 
 
 def find_virtual_edges(iet: Iet) -> list[EdgeFamily]:

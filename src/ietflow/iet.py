@@ -227,12 +227,6 @@ class Iet:
 
     __call__ = evaluate
 
-    def _maps_to(self, x: Fraction, y: Fraction) -> bool:
-        """Whether the exchange maps x to y, by cross-multiplying on the
-        lattice; raises OutOfDomain outside the base, as ``evaluate`` does."""
-        shift, q = self.shifts[lattice_cell(self.cuts, self.denom, x)], x.denominator
-        return (x.numerator * self.denom + shift * q) * y.denominator == y.numerator * q * self.denom
-
     def invert(self) -> Iet:
         """The inverse exchange: each image moved back by its translation."""
         order = self.image_order

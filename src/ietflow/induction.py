@@ -237,12 +237,6 @@ def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, de
     return done, pulled
 
 
-def return_map(pieces, denom: int) -> Iet:
-    """The canonical exchange moving each piece (lo, hi, offset, ...) of
-    ``first_returns`` by its offset, over the denominator ``denom``."""
-    return Iet.from_lattice(denom, [p[0] for p in pieces] + [pieces[-1][1]], [p[2] for p in pieces])
-
-
 def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> InducedResult:
     """First-return map of ``parent`` to [0, b) by exact interval propagation.
 
@@ -488,9 +482,9 @@ def probe_counts(
             anchor = induce(anchor, Fraction(top, denom), steps).induced
         else:
             pieces, _ = first_returns(*cells, [], top, steps, denom)
-            anchor = return_map(pieces, denom)
             starts, _, offsets, _, totals = zip(*pieces)
             cells = starts + (top,), offsets, totals
+            anchor = Iet.from_lattice(denom, cells[0], offsets)
         found = edge_count(anchor.cuts, anchor.shifts)
         most = None if cells is None else max(cells[2])
         if not moves:

@@ -495,6 +495,7 @@ def pinned_inputs(tmp_path):
         (tmp_path / name).write_text(json.dumps(flow_to_dict(flow)))
     m4 = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
     dump_iet(m4, str(tmp_path / "m4.json"))
+    dump_iet(rotation(F(1, 10)), str(tmp_path / "rot10.json"))
     return tmp_path
 
 
@@ -506,7 +507,9 @@ class TestPinnedBytes:
     was re-validated; the m3 flow closes twice and then finds every edge
     at 77/1000 blocked by the pulled-back singular point 209/7000.  Its
     stderr counts the blocked candidates; ``tests/test_closing.py`` checks
-    the candidates themselves on the error."""
+    the candidates themselves on the error.  The ``edges``, ``probe``,
+    ``measure`` (with its CSV) and ``eval`` rows pin every other command's
+    report, so a change behind them must leave those bytes as they are."""
 
     @pytest.mark.parametrize(
         "argv, code, stdout_sha256, stderr",
@@ -554,6 +557,48 @@ class TestPinnedBytes:
                 "962ecbdd925cace748512cd5af0364ba0fb1f18a81f47b165954d8f65cfce318",
                 "",
             ),
+            (
+                ["edges", "--input", "m4.json"],
+                0,
+                "40c8f24dd560dd9b5e43e1b2f1393b1cb4c6710a54e8442bf46985f16c1904c9",
+                "",
+            ),
+            (
+                ["edges", "--input", "rot10.json"],
+                0,
+                "3d4c76aea68466e9666848ff1295646f73f48a8a1b1c55af1e06d1d1f91ea381",
+                "",
+            ),
+            (
+                ["probe", "--input", "m4.json", "--depth", "8"],
+                0,
+                "12b00609741759560cf314fcb9679e4aaa6088ed1f1d944f735dffb8cdbee426",
+                "",
+            ),
+            (
+                ["probe", "--input", "m4.json", "--scales", "9/10,3/4,1/2,2/5"],
+                0,
+                "c39af91a02698016766311d7214226723872b5123449b6cac24364fcfb873f5e",
+                "",
+            ),
+            (
+                ["probe", "--input", "m4.json", "--scales", "1/2,1/4,1/8,1/16"],
+                2,
+                hashlib.sha256(b"").hexdigest(),
+                "ReturnTimeExceeded: no return within 80 steps (inducing on [0, 1/4))\n",
+            ),
+            (
+                ["eval", "--input", "m4.json", "--x", "1/3"],
+                0,
+                hashlib.sha256(b"503/1500\n").hexdigest(),
+                "",
+            ),
+            (
+                ["eval", "--input", "m4.json", "--x", "1"],
+                2,
+                hashlib.sha256(b"").hexdigest(),
+                "OutOfDomain: 1 is outside [0, 1)\n",
+            ),
         ],
         ids=[
             "close-tenth-at-0",
@@ -563,6 +608,13 @@ class TestPinnedBytes:
             "induce-m4-b-1",
             "induce-m4-b-1_3-over-budget",
             "induce-m4-b-1_3-max-steps-2000",
+            "edges-m4",
+            "edges-rot10",
+            "probe-m4-depth-8",
+            "probe-m4-scales",
+            "probe-m4-scales-over-budget",
+            "eval-m4-1_3",
+            "eval-m4-out-of-domain",
         ],
     )
     def test_pinned_invocation(
@@ -573,3 +625,14 @@ class TestPinnedBytes:
         captured = capsys.readouterr()
         assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha256
         assert captured.err == stderr
+
+    def test_pinned_measure_and_its_csv(self, pinned_inputs, monkeypatch, capsys):
+        monkeypatch.chdir(pinned_inputs)
+        argv = ["measure", "--m", "4", "--samples", "40", "--seed", "101", "--depth", "32"]
+        assert run(argv + ["--csv", "samples.csv"]) == 0
+        captured = capsys.readouterr()
+        stdout_sha256 = "8f91e4f41cfa63df7c510f6d86935936185cfe82b95aec4bfa682b02a4263ba2"
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha256
+        assert captured.err == ""
+        csv_sha256 = "680d505edb91ce2af08e4ea1869427ae8c3eb9eda79c5d4ec08f6017c9ce8b68"
+        assert hashlib.sha256((pinned_inputs / "samples.csv").read_bytes()).hexdigest() == csv_sha256

@@ -37,7 +37,7 @@ from ietflow.closing import FlowBox, TwistFamily, _pick_admissible_edge, _return
 from ietflow.edges import DEFAULT_WITNESS_GAP, VirtualEdge, find_virtual_edges, max_disjoint_edges
 from ietflow.edges import sample_iet, sample_uniform_iet
 from ietflow.errors import NotInduced, ReduciblePermutation, TieEncountered
-from ietflow.induction import first_returns, induce, probe_counts, probe_walk, rauzy_step, return_map
+from ietflow.induction import first_returns, induce, probe_counts, probe_walk, rauzy_step
 from ietflow.induction import default_return_budget, shortened_base
 from ietflow.serialize import flow_from_dict, flow_to_dict
 from .test_iet_core import rotation
@@ -303,9 +303,10 @@ class TestContinuation:
             continuation_curve(family, 4)
 
     def test_incoherent_box_rejected_on_and_off_the_base_lattice(self):
-        # on the base's lattice the vertices are checked on integers; off
-        # it (a denominator the base's does not divide) and outside the
-        # base through Fractions, with the same errors
+        # the vertices are read on the least lattice holding base and box,
+        # whether the box's denominator is a multiple of the base's, shares
+        # a factor with it or is coprime to it; a vertex mapped outside the
+        # half-open base raises evaluate's OutOfDomain
         tenth = tenth_flow()
         fifth = SuspensionFlow(Iet.from_lattice(10, [0, 8, 10], [2, -8]), (F(1), F(1)))
         cases = [
@@ -316,6 +317,8 @@ class TestContinuation:
             (tenth, FlowBox(30, 3, 6, 10, 1, 1, 1), ContinuationBroken),
             (tenth, FlowBox(10, 0, 11, 12, 1, 1, 1), ContinuationBroken),
             (tenth, FlowBox(10, -1, 0, 1, 1, 1, 1), OutOfDomain),
+            (tenth, FlowBox(10, 10, 11, 12, 1, 1, 1), OutOfDomain),  # the base is half-open
+            (tenth, FlowBox(3, 0, 1, 2, 1, 1, 1), ContinuationBroken),  # a coprime denominator
             (fifth, FlowBox(5, 0, 1, 2, 1, 1, 1), None),
             (fifth, FlowBox(15, 0, 3, 6, 1, 1, 1), None),
             (fifth, FlowBox(15, 0, 3, 7, 1, 1, 1), ContinuationBroken),
@@ -328,10 +331,14 @@ class TestContinuation:
             if error is None:
                 assert len(continuation_curve(family, 4)) == 4
                 continue
-            with pytest.raises(error):
+            with pytest.raises(error) as curve:
                 continuation_curve(family, 4)
-            with pytest.raises(error):
+            with pytest.raises(error) as closing:
                 find_closing_parameter(family)
+            if error is OutOfDomain:  # evaluate's message for the vertex a
+                with pytest.raises(OutOfDomain) as oracle:
+                    flow.base.evaluate(box.a_bar)
+                assert str(curve.value) == str(closing.value) == str(oracle.value)
 
 
 def sweep_oracle(family, resolution=1e-6, tolerance=1e-9):
@@ -564,9 +571,9 @@ def chained_return_walk(base):
     while state.m > 1:
         top, _ = shortened_base(state)
         pieces, _ = first_returns(cuts, shifts, times, [], top, 2, base.denom)
-        state = return_map(pieces, base.denom)
         cuts, _, shifts, _, times = zip(*pieces)
         cuts += (top,)
+        state = Iet.from_lattice(base.denom, cuts, shifts)
         yield top, state, max(times)
 
 

@@ -490,26 +490,8 @@ def raised(check, *args):
 
 
 class TestImageCheck:
-    """``Iet._maps_to`` decides E(x) == y by cross-multiplying on the
-    lattice; ``evaluate`` is the oracle, on and off the lattice."""
-
-    def test_against_evaluate(self):
-        rng = random.Random(33)
-        off_lattice = 0
-        for iet, tiny in lattice_exchanges(rng, 300):
-            base = iet.base_length
-            points = {base * F(rng.randrange(10**6), 10**6 + 3) for _ in range(10)}
-            points |= {c + e for c in iet.breakpoints for e in (-tiny, 0, tiny) if 0 <= c + e < base}
-            _, witnesses = max_disjoint_edges(iet)
-            points |= {edge.s for edge in witnesses}
-            for x in points:
-                image = iet.evaluate(x)
-                off_lattice += iet.denom % x.denominator != 0
-                for y in (image, image + tiny, image - tiny, image + F(1, iet.denom), x, F(0)):
-                    assert iet._maps_to(x, y) == (image == y), (iet, x, y)
-            for x in (-tiny, base, base + tiny):
-                assert raised(iet._maps_to, x, x) == raised(iet.evaluate, x)
-        assert off_lattice > 1000
+    """``VirtualEdge.validate`` and the flow box core's integer check of an
+    edge against ``evaluate`` as the oracle, on and off the lattice."""
 
     def test_validate_against_the_evaluate_oracle(self):
         # the flow box core checks the same conditions on integers and
