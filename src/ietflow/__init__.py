@@ -30,10 +30,11 @@ _EXPORTS = {
         "induce", "is_irreducible", "rauzy_orbit", "rauzy_step", "rescale",
     ),
     "edges": (
-        "ClosingCriterion", "EdgeCriterionReport", "EdgeFamily", "MeasureReport", "VirtualEdge",
+        "ClosingCriterion", "EdgeCriterionReport", "EdgeFamily", "VirtualEdge",
         "estimate_full_measure", "find_virtual_edges", "in_rotation_band", "max_disjoint_edges",
         "probe_edge_criterion",
     ),
+    "measure": ("MeasureReport",),
     "closing": (
         "ClosingResult", "FlowBox", "SuspensionFlow", "TwistFamily", "build_flow_box",
         "close_at_point", "continuation_curve", "find_closing_parameter", "induced_suspension",

@@ -12,7 +12,9 @@ sequence, whether the first-return maps carry enough pairwise disjoint
 edges.  ``estimate_full_measure`` runs that probe over random exchanges;
 its per-sample verdict is visit-based (a sample is refuted only when *no*
 probed scale meets the edge quota), mirroring the fact that the criterion
-only asks for *some* sequence of good scales.
+only asks for *some* sequence of good scales.  Its records and per-sample
+worker live in ``ietflow.measure``, which loads ``dataclasses`` and is
+imported only when the experiment runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
@@ -252,32 +253,6 @@ def probe_edge_criterion(
 # -- Monte Carlo full-measure experiment -------------------------------------
 
 
-@dataclass(frozen=True)
-class SampleOutcome:
-    index: int
-    lengths: tuple[Fraction, ...]
-    permutation: tuple[int, ...]
-    verdict: str
-    scales_probed: int
-    scales_passed: int
-    first_pass_index: int | None
-    tie: bool
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    m: int
-    samples: int
-    depth: int
-    seed: int
-    resolution: int
-    criterion: ClosingCriterion
-    counts: dict
-    fractions: dict
-    reducible_draws: int
-    per_sample: tuple[SampleOutcome, ...]
-
-
 def wald_interval(successes: int, n: int) -> tuple[float, float, float]:
     """95% normal-approximation confidence interval for a fraction, n >= 1."""
     p = successes / n
@@ -334,30 +309,6 @@ def sample_iet(rng: random.Random, m: int, resolution: int) -> tuple[Iet, int]:
     return make_iet(lengths, perm), rejected
 
 
-def _probe_sample(job) -> SampleOutcome:
-    """Worker body: the visit-based outcome of one sampled exchange.  Its
-    counts come from the probe walk's core, ``probe_counts``, by arithmetic
-    within each run of Rauzy moves; a run ends in one first return, and
-    no state is built within it.  The walk stops at ``depth``, so a run
-    still open there never reaches its run-end first return: on the
-    seed-101 pool of 640 m=4 samples at depth 32, 9.9 of the 31.9 entries
-    per sample are such a run's."""
-    index, iet, threshold, depth = job
-    probed = passed = 0
-    first = None
-    tie = False  # the last tie flag covers the sweep
-    for _, count, tie, _, _, _ in islice(probe_counts(iet), depth):
-        probed += 1
-        if count >= threshold:
-            passed += 1
-            first = first or probed
-    if passed:
-        verdict = "certified_to_depth"
-    else:
-        verdict = "undecided_tie" if tie else "refuted_at_depth"
-    return SampleOutcome(index, iet.lengths, iet.permutation, verdict, probed, passed, first, tie)
-
-
 def estimate_full_measure(
     m: int,
     criterion: ClosingCriterion,
@@ -377,7 +328,10 @@ def estimate_full_measure(
     non-negative; worker parallelism does
     not change the output (results are assembled in sample order).  The
     pool has at most ``min(workers, samples, os.cpu_count())`` processes.
+    ``ietflow.measure`` is imported once per call, not per sample.
     """
+    from .measure import MeasureReport, _probe_sample
+
     if m < 2:
         raise ValueError("m must be >= 2")
     if samples < 1:

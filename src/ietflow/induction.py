@@ -36,6 +36,7 @@ import math
 from collections import deque
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import NotInduced, ReduciblePermutation, ReturnTimeExceeded, TieEncountered
 from .iet import Iet, RationalLike, as_rational, make_iet
@@ -45,10 +46,11 @@ class Record:
     """An immutable record whose fields are its class's ``__slots__``, in
     order.  It is built from positional or keyword arguments, with the
     class's ``_defaults`` for fields left out; it compares and hashes as
-    the tuple of its fields but those in ``_uncompared``, and only equals
-    a record of its own class; its repr names every field; assignment
-    raises AttributeError; it pickles and copies as its class called on
-    its fields.  Unlike a dataclass, it generates no code at import."""
+    the tuple of its fields but those in ``_uncompared`` (at least two),
+    and only equals a record of its own class; its repr names every field;
+    assignment raises AttributeError; it pickles and copies as its class
+    called on its fields.  Unlike a dataclass, it generates no code at
+    import."""
 
     __slots__ = ()
     _defaults: dict = {}
@@ -73,16 +75,23 @@ class Record:
             )
         return [values[name] for name in names]
 
-    def _compared(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name not in self._uncompared)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the compared fields' getter, built once per class: ``attrgetter``
+        # of two or more names gives their tuple in C, of one its bare value
+        names = [name for name in cls.__slots__ if name not in cls._uncompared]
+        if len(names) < 2:
+            raise TypeError(f"{cls.__name__} must compare at least two fields")
+        cls._compared = staticmethod(attrgetter(*names))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._compared() == other._compared()
+        compared = self._compared
+        return compared(self) == compared(other)
 
     def __hash__(self) -> int:
-        return hash(self._compared())
+        return hash(self._compared(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

@@ -444,11 +444,12 @@ print(json.dumps([code, loaded, sorted({"dataclasses", "inspect"} & set(sys.modu
 FRONT = ["ietflow", "ietflow.cli", "ietflow.errors", "ietflow.iet", "ietflow.serialize"]
 WALK = FRONT + ["ietflow.induction"]
 EDGES = WALK + ["ietflow.edges"]
+MEASURE = EDGES + ["ietflow.measure"]
 EVERY = EDGES + ["ietflow.closing"]
 
-# the records of the walk layers are slotted classes; ``dataclasses``, which
-# imports ``inspect``, loads with the experiment and closing records only
-HEAVY_STDLIB = {"edges", "probe", "measure", "close"}
+# the records of the walk and edge layers are slotted classes; ``dataclasses``,
+# which imports ``inspect``, loads with the experiment and closing records only
+HEAVY_STDLIB = {"measure", "close"}
 
 
 class TestImportGraph:
@@ -467,7 +468,7 @@ class TestImportGraph:
             (["rauzy", "--input", "{iet}", "--depth", "3", "--cross-check"], WALK),
             (["edges", "--input", "{iet}"], EDGES),
             (["probe", "--input", "{iet}", "--depth", "2"], EDGES),
-            (["measure", "--m", "3", "--samples", "2", "--seed", "1", "--depth", "2"], EDGES),
+            (["measure", "--m", "3", "--samples", "2", "--seed", "1", "--depth", "2"], MEASURE),
             (["close", "--flow", "{flow}", "--point", "0", "--shrink-steps", "1"], EVERY),
         ],
         ids=["version", "eval", "induce", "rauzy", "edges", "probe", "measure", "close"],

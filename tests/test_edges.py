@@ -26,13 +26,13 @@ from ietflow.edges import (
     DEFAULT_WITNESS_GAP,
     VirtualEdge,
     _irreducible_permutation,
-    _probe_sample,
     default_probe_scales,
     sample_iet,
     sample_uniform_iet,
 )
 from ietflow.errors import ReduciblePermutation, ReturnTimeExceeded, TieEncountered
 from ietflow.induction import induce, probe_walk, rauzy_step
+from ietflow.measure import _probe_sample
 from ietflow.serialize import dump_iet
 from .test_closing import walk_states
 from .test_iet_core import random_iet, rotation

@@ -9,6 +9,7 @@ import pytest
 
 import ietflow
 from ietflow.edges import EdgeCriterionReport
+from ietflow.induction import Record
 
 # the public names, as the package exported them when it imported every layer
 PUBLIC_NAMES = [
@@ -23,10 +24,10 @@ PUBLIC_NAMES = [
     "estimate_full_measure", "find_closing_parameter", "find_virtual_edges",
     "format_rational", "identity_iet", "iet", "in_rotation_band", "induce",
     "induced_suspension", "induction", "is_irreducible", "make_iet",
-    "make_twist_family", "max_disjoint_edges", "parse_rational",
+    "make_twist_family", "max_disjoint_edges", "measure", "parse_rational",
     "probe_edge_criterion", "rauzy_orbit", "rauzy_step", "rescale", "twisted_return",
 ]
-SUBMODULES = {"closing", "edges", "errors", "iet", "induction"}
+SUBMODULES = {"closing", "edges", "errors", "iet", "induction", "measure"}
 
 
 def test_public_names_are_pinned():
@@ -249,8 +250,28 @@ class TestResultRecords:
         other = EdgeCriterionReport(*_compared(bare, RECORD_CASES[-1][1]), note="x")
         assert other == report == bare and len({other, report, bare}) == 1
 
+    def test_a_record_compares_at_least_two_fields(self):
+        with pytest.raises(TypeError, match="at least two fields"):
+            type("Single", (Record,), {"__slots__": ("x",)})
+        with pytest.raises(TypeError, match="at least two fields"):
+            type("Noted", (Record,), {"__slots__": ("x", "note"), "_uncompared": ("note",)})
+
     def test_closing_criterion_needs_k_at_least_one(self):
         with pytest.raises(ValueError, match="k must be >= 1"):
             ietflow.ClosingCriterion(-3, 0)
         with pytest.raises(ValueError, match="k must be >= 1"):
             ietflow.ClosingCriterion(euler_characteristic=2, k=-1)
+
+
+def test_measure_report_pickles_with_its_samples():
+    # a worker pool pickles each sample's outcome back from ``ietflow.measure``
+    report = ietflow.estimate_full_measure(
+        3, ietflow.ClosingCriterion(-3, 1), depth=4, samples=6, seed=3, resolution=500
+    )
+    twin = pickle.loads(pickle.dumps(report))
+    assert type(twin) is ietflow.MeasureReport and twin.__module__ == "ietflow.measure"
+    assert twin == report and repr(twin) == repr(report)
+    assert len(twin.per_sample) == 6
+    for sample, original in zip(twin.per_sample, report.per_sample):
+        assert type(sample) is type(original) and sample.__module__ == "ietflow.measure"
+        assert sample == original and hash(sample) == hash(original)
