@@ -21,7 +21,7 @@ closing parameter the orbit through the vertex b crosses the box once and
 returns exactly to b.
 
 Flows and boxes are stored on integer lattices, as exchanges are, with
-their public ``Fraction``s built on first read.  The edge pick hands its
+their public ``Fraction``s built when read.  The edge pick hands its
 edge's numerators to one box core, which checks the edge, the singular
 points and the roof cell on the flow's lattice.  The closing parameter has
 a closed form, evaluated in floating point without any search; the float
@@ -59,7 +59,7 @@ from .errors import (
 from .edges import DEFAULT_WITNESS_GAP, ClosingCriterion, VirtualEdge
 from .iet import Iet, RationalLike, as_rational, lattice_cell
 # unused ``induce`` is read by test_tracer_rebinds_every_import_site_and_restores_them
-from .induction import base_lattice, default_return_budget, first_returns, induce, probe_counts
+from .induction import Record, base_lattice, default_return_budget, first_returns, induce, probe_counts
 
 SINGULAR_SNAP = 1e-12
 
@@ -132,8 +132,7 @@ class SuspensionFlow:
         return self.roof[lattice_cell(self.cuts, self.denom, as_rational(x))]
 
 
-@dataclass(frozen=True, eq=False)
-class FlowBox:
+class FlowBox(Record):
     """Simple flow box over a virtual orthogonal edge, stored as integers:
     the vertices a, b and c over ``denom`` and the roofs ``r1`` and ``r2``
     of its two flights over ``rden``.
@@ -141,20 +140,14 @@ class FlowBox:
     ``tangent_edge`` lists the orbit arc as (base segment, flight time)
     pairs from a_bar through b_bar to c_bar; ``total_height`` is the time
     length of that arc.  The box itself is the strip over [a_bar, b_bar],
-    of height ``strip_height``.  These ``Fraction``s are built on read, the
-    vertices cached; boxes compare by value."""
+    of height ``strip_height``.  These ``Fraction``s are built on read;
+    boxes compare by value, on any lattice."""
 
-    denom: int
-    a: int
-    b: int
-    c: int
-    rden: int
-    r1: int
-    r2: int
+    __slots__ = ("denom", "a", "b", "c", "rden", "r1", "r2")
 
-    a_bar = cached_property(lambda box: Fraction(box.a, box.denom))
-    b_bar = cached_property(lambda box: Fraction(box.b, box.denom))
-    c_bar = cached_property(lambda box: Fraction(box.c, box.denom))
+    a_bar = property(lambda box: Fraction(box.a, box.denom))
+    b_bar = property(lambda box: Fraction(box.b, box.denom))
+    c_bar = property(lambda box: Fraction(box.c, box.denom))
     orthogonal_edge = property(lambda box: (box.a_bar, box.c_bar))
     strip_height = property(lambda box: Fraction(box.r1, box.rden))
     total_height = property(lambda box: Fraction(box.r1 + box.r2, box.rden))
@@ -204,8 +197,7 @@ def build_flow_box(flow: SuspensionFlow, edge: VirtualEdge) -> FlowBox:
     return _box(flow, denom, *_numerators(ends, denom))
 
 
-@dataclass(frozen=True)
-class TwistFamily:
+class TwistFamily(Record):
     """One-parameter twist of the suspension, supported on the box strip.
 
     For twist parameter t in [0, sigma_max] the horizontal velocity inside
@@ -213,12 +205,10 @@ class TwistFamily:
     c_bar, negative rates toward a_bar).
     """
 
-    flow: SuspensionFlow
-    box: FlowBox
-    sigma_max: float
-    drift_rate: float
+    __slots__ = ("flow", "box", "sigma_max", "drift_rate")
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.sigma_max < 0 or not math.isfinite(self.sigma_max):
             raise ValueError("sigma_max must be a finite nonnegative real")
         if not math.isfinite(self.drift_rate):
@@ -304,38 +294,28 @@ def twisted_return(family: TwistFamily, t: float, x: float) -> tuple[float, floa
     return position, time
 
 
-def _continuation_point(family: TwistFamily, t: float) -> float:
-    """Endpoint of the backward twisted arc from the vertex b_bar.
+def continuation_curve(family: TwistFamily, steps: int) -> list[tuple[float, float]]:
+    """Sample the endpoint of the backward twisted arc from the vertex
+    b_bar over [0, sigma_max].
 
     The arc descends the strip from the glued top over a_bar; with drift
     toward a_bar it lands at a_bar + |t * drift| * height, clamped at the
     vertex once the closing parameter is passed.  With drift away from
-    a_bar the arc hugs the tangent edge and the endpoint stays a_bar.
-    """
-    box = family.box
-    a, b, r1 = box.a / box.denom, box.b / box.denom, box.r1 / box.rden
-    u = t * family.drift_rate
-    if u >= 0:
-        return a
-    return min(a - u * r1, b)
-
-
-def continuation_curve(family: TwistFamily, steps: int) -> list[tuple[float, float]]:
-    """Sample the continuation endpoint over [0, sigma_max].
-
-    The sampled curve starts at a_bar, is monotone in t, and every sampled
+    a_bar the arc hugs the tangent edge and the endpoint stays a_bar.  So
+    the sampled curve starts at a_bar, is monotone in t, and every sampled
     arc crosses the base transversally (the roof is strictly positive).
     Raises ContinuationBroken or OutOfDomain from ``_check_coherent``.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     _check_coherent(family)
-    sigma = family.sigma_max
+    box, sigma, drift = family.box, family.sigma_max, family.drift_rate
+    a, b, r1 = box.a / box.denom, box.b / box.denom, box.r1 / box.rden
     points = []
     for i in range(steps):
         t = sigma * i / (steps - 1)
-        pt = _continuation_point(family, t)
-        points.append((t, pt))
+        u = t * drift
+        points.append((t, a if u >= 0 else min(a - u * r1, b)))
     return points
 
 
@@ -361,7 +341,7 @@ def find_closing_parameter(
     """Closed-form twist parameter closing the vertex orbit.
 
     The backward arc from b_bar lands at a_bar + |t * drift_rate| *
-    strip_height (see ``_continuation_point``), so it first reaches the
+    strip_height (see ``continuation_curve``), so it first reaches the
     vertex at sigma1 = (b_bar - a_bar) / (strip_height * -drift_rate).  The
     result is re-validated by forward integration of the twisted flow from
     the periodic point; the residual must come out within ``tolerance``.
@@ -542,6 +522,6 @@ def close_at_point(
         tau, r1 = (box.b - box.a) / box.denom, box.r1 / box.rden
         sigma_budget = flow.cuts[-1] / flow.denom / (2.0 * ((box.r1 + box.r2) / box.rden))
         drift = -2.0 * tau / (r1 * sigma_budget)
-        family = TwistFamily(flow, box, sigma_max=sigma_budget, drift_rate=drift)
+        family = TwistFamily(flow, box, sigma_budget, drift)
         results.append(find_closing_parameter(family, tolerance, scale=b))
     return results

@@ -185,7 +185,10 @@ class Iet:
         object.__setattr__(self, name, value)
         return value
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
+        raise AttributeError("Iet values are immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Iet values are immutable")
 
     def __reduce__(self):

@@ -49,9 +49,8 @@ def _probe_sample(job) -> SampleOutcome:
     counts come from the probe walk's core, ``probe_counts``, by arithmetic
     within each run of Rauzy moves; a run ends in one first return, and
     no state is built within it.  The walk stops at ``depth``, so a run
-    still open there never reaches its run-end first return: on the
-    seed-101 pool of 640 m=4 samples at depth 32, 9.9 of the 31.9 entries
-    per sample are such a run's."""
+    still open there never reaches its run-end first return, and is left
+    unchecked."""
     index, iet, threshold, depth = job
     probed = passed = 0
     first = None

@@ -64,6 +64,9 @@ INVALID_EXCHANGES = [
 ]
 INVALID_IDS = ["repeated-rank", "negative-length", "zero-length", "no-intervals"]
 
+NEEDS_EXCHANGE_KEYS = "exchange JSON needs 'lengths' and 'permutation'"
+NEEDS_FLOW_KEYS = "flow JSON needs 'base' and 'roof'"
+
 
 class TestWireFormat:
     def test_iet_round_trip(self, tmp_path):
@@ -126,6 +129,28 @@ class TestWireFormat:
         with pytest.raises(FormatError, match="singular points must be distinct"):
             flow_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "load, data, message",
+        [
+            (iet_from_dict, {"lengths": ["1/2", "1/2"]}, NEEDS_EXCHANGE_KEYS),
+            (iet_from_dict, {"permutation": [2, 1]}, NEEDS_EXCHANGE_KEYS),
+            (iet_from_dict, [["1/2", "1/2"], [2, 1]], NEEDS_EXCHANGE_KEYS),
+            (flow_from_dict, {"roof": ["1"]}, NEEDS_FLOW_KEYS),
+            (flow_from_dict, {"base": {"lengths": ["1"], "permutation": [1]}}, NEEDS_FLOW_KEYS),
+        ],
+        ids=[
+            "exchange-no-permutation",
+            "exchange-no-lengths",
+            "exchange-not-an-object",
+            "flow-no-base",
+            "flow-no-roof",
+        ],
+    )
+    def test_rejects_missing_keys(self, load, data, message):
+        with pytest.raises(FormatError) as info:
+            load(data)
+        assert str(info.value) == message
+
     def test_flow_round_trip(self):
         flow = SuspensionFlow(rotation(F(1, 10)), (F(2), F(1)), (F(1, 4),), K=1)
         again = flow_from_dict(flow_to_dict(flow))
@@ -158,6 +183,12 @@ class TestCli:
     def test_eval_prints_value(self, rot13_path, capsys):
         assert run(["eval", "--input", rot13_path, "--x", "1/2"]) == 0
         assert capsys.readouterr().out.strip() == "5/6"
+
+    def test_induce_rejects_a_step_budget_below_one(self, rot13_path, capsys):
+        assert run(["induce", "--input", rot13_path, "--b", "2/3", "--max-steps", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: max_steps must be positive\n"
 
     def test_usage_error_exit_1(self, capsys):
         assert run(["eval", "--input"]) == 1
@@ -510,7 +541,9 @@ class TestPinnedBytes:
     stderr counts the blocked candidates; ``tests/test_closing.py`` checks
     the candidates themselves on the error.  The ``edges``, ``probe``,
     ``measure`` (with its CSV) and ``eval`` rows pin every other command's
-    report, so a change behind them must leave those bytes as they are."""
+    report, so a change behind them must leave those bytes as they are; the
+    clamped-quota ``probe`` row pins ``threshold_clamped`` and the note's
+    clamp suffix."""
 
     @pytest.mark.parametrize(
         "argv, code, stdout_sha256, stderr",
@@ -577,6 +610,12 @@ class TestPinnedBytes:
                 "",
             ),
             (
+                ["probe", "--input", "m4.json", "--depth", "8", "--chi", "-5", "--k", "1"],
+                0,
+                "52b83b9081da4c828c2ad018c9784277ab65d6de4c432cb46d0644f12d0c22bd",
+                "",
+            ),
+            (
                 ["probe", "--input", "m4.json", "--scales", "9/10,3/4,1/2,2/5"],
                 0,
                 "c39af91a02698016766311d7214226723872b5123449b6cac24364fcfb873f5e",
@@ -612,6 +651,7 @@ class TestPinnedBytes:
             "edges-m4",
             "edges-rot10",
             "probe-m4-depth-8",
+            "probe-m4-depth-8-clamped-quota",
             "probe-m4-scales",
             "probe-m4-scales-over-budget",
             "eval-m4-1_3",

@@ -1095,3 +1095,80 @@ class TestSuspensionWalk:
         assert blocked == 34
         digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
         assert digest == "24b7cd39e001c255cf3b7fcdabcb27cdd183aba4348970a0ec68ca52db8c4bed"
+
+    def test_benchmark_close_pool_outcomes_pinned(self):
+        # the benchmark's seed-101 close pool of 4096 flows: every
+        # closing's repr (its floats, scale and hit flag) with its box's
+        # tangent edge, and every error's repr with the edges it blocked
+        rng = random.Random(101)
+        rows = []
+        for i in range(4096):
+            flow = pool_flow(rng, i)
+            try:
+                results = close_at_point(flow, 0, ClosingCriterion(-3, 1), 3)
+            except IetError as exc:
+                rows.append(f"{exc!r} {getattr(exc, 'blocked', ())!r}")
+                continue
+            rows.append("closed " + " ".join(f"{r!r} {r.family.box.tangent_edge!r}" for r in results))
+        counts = Counter(row.split("(")[0].split()[0] for row in rows)
+        assert counts == {"closed": 2028, "NoEdgeInNeighborhood": 2000, "ReturnTimeExceeded": 68}
+        digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+        assert digest == "f1b0c815f1f6fedf20b561bf0ecef13d2cf4df92e2bb4e11b146a06f655dc085"
+
+
+def tenth_family():
+    flow = tenth_flow()
+    return make_twist_family(flow, tenth_box(flow))  # sigma_max 0.05
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: TwistFamily(tenth_flow(), tenth_box(), -1.0, -4.0),
+            ValueError,
+            "sigma_max must be a finite nonnegative real",
+        ),
+        (
+            lambda: TwistFamily(tenth_flow(), tenth_box(), math.inf, -4.0),
+            ValueError,
+            "sigma_max must be a finite nonnegative real",
+        ),
+        (
+            lambda: TwistFamily(tenth_flow(), tenth_box(), 0.05, math.nan),
+            ValueError,
+            "drift_rate must be finite",
+        ),
+        (lambda: twisted_return(tenth_family(), -0.1, 0.5), ValueError, "twist -0.1 outside [0, 0.05]"),
+        (lambda: twisted_return(tenth_family(), 0.1, 0.5), ValueError, "twist 0.1 outside [0, 0.05]"),
+        (lambda: twisted_return(tenth_family(), 0.0, 1.0), ValueError, "1.0 outside the base interval"),
+        (lambda: twisted_return(tenth_family(), 0.0, -0.5), ValueError, "-0.5 outside the base interval"),
+        (lambda: continuation_curve(tenth_family(), 1), ValueError, "steps must be >= 2"),
+        (
+            lambda: find_closing_parameter(tenth_family(), tolerance=-1.0),
+            NoClosingInRange,
+            "closing verification failed: forward residual 0.0 above -1.0",
+        ),
+        (
+            lambda: close_at_point(tenth_flow(), 0, ClosingCriterion(-3, 1), 0),
+            ValueError,
+            "shrink_steps must be >= 1",
+        ),
+    ],
+    ids=[
+        "twist-negative-budget",
+        "twist-infinite-budget",
+        "twist-nan-drift",
+        "twisted-return-t-below-0",
+        "twisted-return-t-above-budget",
+        "twisted-return-x-at-base",
+        "twisted-return-x-below-0",
+        "continuation-one-step",
+        "closing-negative-tolerance",
+        "close-no-shrink-steps",
+    ],
+)
+def test_validation_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

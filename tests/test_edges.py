@@ -180,6 +180,9 @@ class TestRotationBand:
             assert in_rotation_band(e, k)
             assert max_disjoint_edges(e, with_witness=False)[0] > k
 
+    def test_a_first_piece_up_to_half_is_never_in_the_band(self):
+        assert in_rotation_band(make_iet([F(1, 2), F(1, 2)], [2, 1]), 1) is False
+
     def test_non_rotation_band_member(self):
         a = F(1, 16)
         e = make_iet([F(9, 16), a, F(1) - F(9, 16) - a], [2, 1, 3])
@@ -492,3 +495,62 @@ class TestMeasure:
         )
         assert sizes == ([] if pool_size is None else [pool_size])
         assert seq.per_sample == par.per_sample
+
+
+TENTH = rotation(F(1, 10))
+CRITERION = ClosingCriterion(-3, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: find_virtual_edges(TENTH)[0].edge_at(F(7, 10)),
+            ValueError,
+            "7/10 outside admissible range [0, 7/10)",
+        ),
+        (
+            lambda: find_virtual_edges(TENTH)[0].edge_at(F(-1, 10)),
+            ValueError,
+            "-1/10 outside admissible range [0, 7/10)",
+        ),
+        (lambda: in_rotation_band(TENTH, 0), ValueError, "k must be >= 1"),
+        (
+            lambda: in_rotation_band(make_iet([F(1), F(1)], [2, 1]), 1),
+            ValueError,
+            "rotation band test needs a unit base",
+        ),
+        (
+            lambda: probe_edge_criterion(TENTH, CRITERION, 5, []),
+            ValueError,
+            "explicit scale list must be nonempty",
+        ),
+        (
+            lambda: probe_edge_criterion(TENTH, CRITERION, 5, [F(2), F(1, 2)]),
+            ValueError,
+            "scales must lie in (0, base]",
+        ),
+        (
+            lambda: probe_edge_criterion(TENTH, CRITERION, 5, [F(1, 2), F(0)]),
+            ValueError,
+            "scales must lie in (0, base]",
+        ),
+        (lambda: estimate_full_measure(1, CRITERION, 4, 5, 1), ValueError, "m must be >= 2"),
+        (lambda: estimate_full_measure(3, CRITERION, 4, 0, 1), ValueError, "samples must be >= 1"),
+    ],
+    ids=[
+        "edge-at-s-sup",
+        "edge-at-below-s-min",
+        "rotation-band-k-0",
+        "rotation-band-base-2",
+        "probe-no-scales",
+        "probe-scale-above-base",
+        "probe-scale-0",
+        "measure-m-1",
+        "measure-no-samples",
+    ],
+)
+def test_validation_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from ietflow import (
+    FormatError,
     Iet,
     NonPositiveLength,
     OutOfDomain,
@@ -223,3 +224,17 @@ class TestContinuityIntervals:
                     mid = (lo + hi) / 2
                     third = lo + (hi - lo) / 3
                     assert e.iterate(mid, n) - mid == e.iterate(third, n) - third
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: make_iet([0.5, 0.5], [2, 1]), FormatError, "not an exact rational: 0.5"),
+        (lambda: rotation(F(1, 3)).continuity_intervals(0), ValueError, "n must be >= 1"),
+    ],
+    ids=["float-length", "continuity-intervals-n-0"],
+)
+def test_validation_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

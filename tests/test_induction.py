@@ -652,3 +652,22 @@ class TestProbeCounts:
         with pytest.raises(NotInduced) as info:
             list(probe_counts(rotation(F(1, 1000))))
         assert str(info.value) == "a run to 1/500 counts 0 edges, its first return 1"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: rescale(rotation(F(1, 3)), 0), ValueError, "target base must be positive"),
+        (lambda: induce(rotation(F(1, 3)), F(2, 3), 0), ValueError, "max_steps must be positive"),
+        (lambda: next(probe_counts(rotation(F(1, 3)), [1])), ValueError, "need one weight per interval"),
+    ],
+    ids=["rescale-to-0", "induce-max-steps-0", "probe-counts-one-weight-for-two"],
+)
+def test_validation_branches(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_single_label_is_not_irreducible():
+    assert is_irreducible([1]) is False

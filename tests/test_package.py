@@ -1,6 +1,7 @@
 """The package surface: ``ietflow.<name>`` for every public name."""
 
 import copy
+import dataclasses
 import pickle
 import sys
 from fractions import Fraction as F
@@ -275,3 +276,38 @@ def test_measure_report_pickles_with_its_samples():
     for sample, original in zip(twin.per_sample, report.per_sample):
         assert type(sample) is type(original) and sample.__module__ == "ietflow.measure"
         assert sample == original and hash(sample) == hash(original)
+
+
+def _values():
+    """One instance of each value class: the exchange, the ten result
+    records, the closing layer's four values and the experiment's two."""
+    iet = ietflow.make_iet([F(2, 3), F(1, 3)], [2, 1])
+    flow = ietflow.SuspensionFlow(ietflow.make_iet([F(9, 10), F(1, 10)], [2, 1]), (F(1), F(1)))
+    box = ietflow.build_flow_box(flow, ietflow.VirtualEdge(F(0), F(1, 10), F(1, 5)))
+    family = ietflow.make_twist_family(flow, box)
+    report = ietflow.estimate_full_measure(
+        3, ietflow.ClosingCriterion(-3, 1), depth=4, samples=6, seed=3, resolution=500
+    )
+    records = [record for record, _, _ in RECORD_CASES]
+    closing = [box, family, flow, ietflow.find_closing_parameter(family)]
+    return [iet, *records, *closing, report.per_sample[0], report]
+
+
+VALUES = _values()
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(value).__name__ for value in VALUES])
+def test_every_value_is_immutable(value):
+    # every field is read first, so a cached one is set when it is deleted
+    names = getattr(type(value), "__slots__", ())
+    if dataclasses.is_dataclass(value):
+        names = sorted({f.name for f in dataclasses.fields(value)} | set(vars(value)))
+    assert names
+    text = repr(value)
+    for name in names:
+        getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
