@@ -77,8 +77,9 @@ class SuspensionFlow:
     """Roof function over an exchange plus singularity bookkeeping.
 
     ``roof`` holds one positive time per cell of ``partition``; the
-    partition defaults to the base breakpoints and may refine them (first
-    return flows carry accumulated roofs over their return-time pieces).
+    partition defaults to the base breakpoints, sharing the base's cuts,
+    and may refine them (first return flows carry accumulated roofs over
+    their return-time pieces).
     ``singular_points`` are base points whose forward orbit is undefined;
     ``K`` is the singularity count of the modeled surface flow.
 
@@ -100,22 +101,28 @@ class SuspensionFlow:
         sing = [as_rational(q) for q in singular_points]
         part = [as_rational(c) for c in partition or ()]
         denom = math.lcm(base.denom, *(x.denominator for x in (*part, *sing)))
-        base_cuts = tuple(c * (denom // base.denom) for c in base.cuts)
-        cuts = base_cuts if partition is None else _numerators(part, denom)
+        lift = denom // base.denom
+        if partition is not None:
+            cuts = _numerators(part, denom)
+        else:  # the base's own cuts, lifted only for a finer singular point
+            cuts = base.cuts if lift == 1 else tuple(c * lift for c in base.cuts)
         if len(roof) != len(cuts) - 1:
             raise ValueError("need one roof value per partition cell")
         if any(r.numerator <= 0 for r in roof):
             raise ValueError("roof values must be strictly positive")
-        increasing = all(a < c for a, c in zip(cuts, cuts[1:]))
-        if cuts[0] != 0 or cuts[-1] != base_cuts[-1] or not increasing:
-            raise ValueError("partition must increase from 0 to the base length")
-        if not set(base_cuts) <= set(cuts):
-            raise ValueError("partition must refine the base breakpoints")
+        if partition is not None:
+            increasing = all(a < c for a, c in zip(cuts, cuts[1:]))
+            if cuts[0] != 0 or cuts[-1] != base.cuts[-1] * lift or not increasing:
+                raise ValueError("partition must increase from 0 to the base length")
+            if not set(cuts).issuperset(c * lift for c in base.cuts):
+                raise ValueError("partition must refine the base breakpoints")
         sing = tuple(sorted(_numerators(sing, denom)))
         if sing and (sing[0] < 0 or sing[-1] >= cuts[-1]):
             raise ValueError("singular points must lie in [0, base)")
         if len(set(sing)) < len(sing):
             raise ValueError("singular points must be distinct")
+        if type(K) is not int:
+            raise ValueError("K must be an integer")
         if K < 0:
             raise ValueError("K must be >= 0")
         rden = math.lcm(*(r.denominator for r in roof))

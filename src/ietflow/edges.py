@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
-from .iet import Iet, RationalLike, as_rational, image_shifts, make_iet
+from .iet import Iet, RationalLike, as_rational, image_shifts
 from .induction import Record, edge_count, induce, is_irreducible, probe_counts
 
 DEFAULT_WITNESS_GAP = Fraction(1, 10**6)
@@ -298,15 +298,14 @@ def sample_iet(rng: random.Random, m: int, resolution: int) -> tuple[Iet, int]:
     by their sum.  That is not the uniform law on the simplex: short lengths
     are under-weighted (for m=2 about 5.6% of the draws have a first length
     below 1/10, not 10%), so ``estimate_full_measure`` draws with
-    ``sample_uniform_iet`` instead.  This sampler stays as it is so that
-    input sets generated from a seed keep their exchanges.  Returns the
+    ``sample_uniform_iet`` instead.  This sampler keeps its draws so that
+    input sets generated from a seed keep their exchanges; it builds them
+    on the lattice of the raw sum, which is their ``denom``.  Returns the
     exchange and the number of reducible permutation draws rejected.
     """
     perm, rejected = _irreducible_permutation(rng, m)
-    raw = [rng.randint(1, resolution) for _ in range(m)]
-    total = sum(raw)
-    lengths = [Fraction(x, total) for x in raw]
-    return make_iet(lengths, perm), rejected
+    cuts = [0, *accumulate(rng.randint(1, resolution) for _ in range(m))]
+    return Iet.from_lattice(cuts[-1], cuts, image_shifts(cuts, perm)), rejected
 
 
 def estimate_full_measure(

@@ -185,11 +185,60 @@ class TestSuspensionFlow:
             ((F(1),) * 2, (), -1, None, "K must be >= 0"),
             ((F(1),) * 2, (F(1, 3), F(1, 3)), 2, None, "singular points must be distinct"),
             ((F(1),) * 2, (F(1, 2), "2/4", F(1, 3)), 3, None, "singular points must be distinct"),
+            ((F(1),) * 2, (F(1, 5),), 1.5, None, "K must be an integer"),
+            ((F(1),) * 2, (F(1, 5),), True, None, "K must be an integer"),
+            ((F(1),) * 2, (F(1, 5),), "2", None, "K must be an integer"),
         ],
     )
     def test_constructor_checks(self, roof, singular, K, partition, message):
         with pytest.raises(ValueError, match=message):
             SuspensionFlow(rotation(F(1, 10)), roof, singular, K, partition)
+
+    @pytest.mark.parametrize(
+        "roof, partition, message",
+        [
+            ((F(1),), None, "need one roof value per partition cell"),
+            ((F(1),) * 3, None, "need one roof value per partition cell"),
+            ((F(1), F(0)), None, "roof values must be strictly positive"),
+            ((F(-1), F(1)), None, "roof values must be strictly positive"),
+            # the roofs are checked before the partition's shape: this
+            # partition has two cells and does not refine the base
+            ((F(1),) * 3, (F(0), F(1, 2), F(1)), "need one roof value per partition cell"),
+            ((F(1), F(0)), (F(0), F(1, 2), F(1)), "roof values must be strictly positive"),
+        ],
+    )
+    def test_roof_messages(self, roof, partition, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SuspensionFlow(rotation(F(1, 10)), roof, partition=partition)
+
+    def test_both_flow_forms_build_one_flow(self):
+        # with no partition a flow's cells are its base's cuts, lifted only
+        # where a singular point needs a finer lattice; the base's own
+        # breakpoints as the partition give the same flow
+        rng = random.Random(28)
+        cases = [(rotation(F(1, 10)), (F(3, 5),)), (rotation(F(1, 10)), (F(1, 7), F(1, 2)))]
+        cases += [(flow.base, flow.singular_points) for flow in (pool_flow(rng, i) for i in range(64))]
+        lifts = Counter()
+        for base, sing in cases:
+            roof = tuple(F(k + 2, 3) for k in range(base.m))
+            plain = SuspensionFlow(base, roof, sing, len(sing))
+            given = SuspensionFlow(base, roof, sing, len(sing), partition=base.breakpoints)
+            assert plain == given and hash(plain) == hash(given)
+            for name in ("denom", "cuts", "sing", "rden", "rnums"):
+                assert getattr(plain, name) == getattr(given, name), name
+            lift = plain.denom // base.denom
+            assert plain.cuts == tuple(c * lift for c in base.cuts)
+            lifts[lift > 1] += 1
+        assert lifts[False] >= 30 and lifts[True] >= 8
+
+    def test_flow_with_singular_points_and_partition_survives_its_file(self):
+        part = (F(0), F(1, 2), F(9, 10), F(1))
+        flow = SuspensionFlow(rotation(F(1, 10)), (F(1), F(2), F(3)), (F(2, 3), F(1, 5)), 2, part)
+        again = flow_from_dict(flow_to_dict(flow))
+        assert again == flow and hash(again) == hash(flow)
+        assert (again.partition, again.singular_points, again.K) == (part, (F(1, 5), F(2, 3)), 2)
+        assert (again.denom, again.cuts, again.sing) == (flow.denom, flow.cuts, flow.sing)
+        assert flow_to_dict(again) == flow_to_dict(flow)
 
     def test_repeated_partition_cut_rejected(self):
         # a repeated cut would be a zero-width cell with a roof of its own

@@ -390,6 +390,31 @@ class TestMeasure:
                     reduced += expected.denom < resolution
         assert reduced > 400  # many draws have a coarser least lattice
 
+    def test_integer_sampler_draws_are_pinned(self):
+        # ``sample_iet`` divides m integer draws by their sum; the exchange
+        # is the one ``make_iet`` builds from those Fractions, on the
+        # lattice of the raw sum, after the same rng calls in the same order
+        def fraction_route(rng, m, resolution):
+            perm, rejected = _irreducible_permutation(rng, m)
+            raw = [rng.randint(1, resolution) for _ in range(m)]
+            return make_iet([F(x, sum(raw)) for x in raw], perm), rejected, sum(raw)
+
+        draws = reduced = 0
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                for m in range(2, 6):
+                    for resolution in (60, 1000):
+                        iet, rejected = sample_iet(ours, m, resolution)
+                        expected, expected_rejected, total = fraction_route(theirs, m, resolution)
+                        assert iet == expected and hash(iet) == hash(expected)
+                        assert (iet.lengths, iet.permutation) == (expected.lengths, expected.permutation)
+                        assert rejected == expected_rejected and iet.denom == total
+                        assert ours.getstate() == theirs.getstate()
+                        draws += 1
+                        reduced += expected.denom < total
+        assert draws == 8000 and reduced > 1000  # many draws have a coarser least lattice
+
     def test_benchmark_pool_outcomes_are_pinned(self):
         # 640 samples of the benchmark's configuration; values recorded
         # before the sampler built its exchanges on the lattice
