@@ -420,11 +420,11 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
 
 
 def _return_maps(base: Iet, p: Fraction) -> Iterator[tuple]:
-    """The entries of ``probe_counts`` on ``base`` above p, weighted by
-    return times, lazily, ending after an identity map: every smaller
-    return map of an identity is the identity too.
+    """The entries of the timed ``probe_counts`` on ``base`` above p,
+    lazily, ending after an identity map: every smaller return map of an
+    identity is the identity too.
 
-    The walk starts from ones, so each entry's last term is the longest
+    Return times start from ones, so each entry's last term is the longest
     return to its scale, in steps of ``base``.  A return longer than the
     budget ``induce`` gives the scale, ``default_return_budget`` on the
     lattice of ``base``, raises ReturnTimeExceeded, so a long run of small
@@ -435,7 +435,7 @@ def _return_maps(base: Iet, p: Fraction) -> Iterator[tuple]:
     m, denom, base_top = base.m, base.denom, base.cuts[-1]
     cutoff = p.numerator * denom // p.denominator  # b <= p exactly when top <= cutoff
     least = default_return_budget(m, base_top, base_top)
-    for entry in probe_counts(base, [1] * m):
+    for entry in probe_counts(base, timed=True):
         top, longest = entry[0], entry[5]  # on the lattice of ``base``
         if top <= cutoff:
             return

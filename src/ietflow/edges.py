@@ -149,6 +149,8 @@ class ClosingCriterion(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        if type(self.euler_characteristic) is not int or type(self.k) is not int:
+            raise ValueError("euler_characteristic and k must be integers")
         if self.k < 1:
             raise ValueError("k must be >= 1")
 

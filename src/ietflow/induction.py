@@ -2,10 +2,10 @@
 
 Two independent routes to the same renormalization are kept side by side:
 
-* the probe walk (``probe_counts``) steps to the bases that
-  ``shortened_base`` gives.  It does each run of same-type Rauzy moves by
+* the probe walk (``probe_counts``) steps to the bases of Rauzy moves,
+  b - min(L_last, L_beta).  It does each run of same-type moves by
   arithmetic on integer lengths and shifts (Zorich's accelerated
-  induction), carrying return times through the run when asked, and ends
+  induction), carrying return times through the run when timed, and ends
   each run by one exact first return from the run's start, whose edge
   count and longest return must match the run's; ``probe_walk`` builds
   the states of its scales, each from the one before, and
@@ -24,9 +24,9 @@ walk state must equal the n-step Rauzy state, exactly, as canonical maps.
 
 Every first return takes its lattice, range check and step budget from
 ``base_lattice`` and ``default_return_budget``.  The probe walk is also
-the closing walk (``closing._return_maps`` weighs it with return times);
-without weights a run ends in ``induce``, the benchmark's contract for
-the ``measure`` step, once per run.
+the closing walk (``closing._return_maps`` walks it timed); untimed, a
+run ends in ``induce``, the benchmark's contract for the ``measure``
+step, once per run.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import attrgetter
 
@@ -376,58 +376,46 @@ def rauzy_orbit(iet: Iet, depth: int) -> RauzyTrajectory:
     return RauzyTrajectory(tuple(steps), tuple(scales), halt)
 
 
-def shortened_base(state: Iet) -> tuple[int, bool]:
-    """The next base of the probe walk on the lattice of ``state`` (m >= 2),
-    b - min(L_last, L_beta) with beta the interval whose image is last, as
-    in a Rauzy move, and whether L_last == L_beta, a tie no Rauzy move
-    passes.  Every point returns to it within two steps."""
-    cuts, m = state.cuts, state.m
-    beta = state.image_order[-1]
-    l_last, l_beta = cuts[m] - cuts[m - 1], cuts[beta + 1] - cuts[beta]
-    return cuts[m] - min(l_last, l_beta), l_last == l_beta
-
-
 def edge_count(cuts, shifts) -> int:
     """The most pairwise disjoint virtual edges of the exchange moving
-    [cuts[i], cuts[i + 1]) by shifts[i]: each piece with 0 < 2 tau < L
-    holds ceil((L - 2 tau) / (2 tau)) of them (``edges.max_disjoint_edges``)."""
+    [cuts[i], cuts[i + 1]) by shifts[i] (``edges.max_disjoint_edges``): a
+    piece with tau > 0 holds (L - 1) // (2 tau) = ceil(L / (2 tau)) - 1 on
+    integers, its family's ceil((L - 2 tau) / (2 tau)) where 2 tau < L and
+    0 otherwise; the walk's runs add and subtract the same term."""
     total = 0
     for i, tau in enumerate(shifts):
-        width = cuts[i + 1] - cuts[i] - 2 * tau
-        if tau > 0 and width > 0:
-            total += -(-width // (2 * tau))
+        if tau > 0:
+            total += (cuts[i + 1] - cuts[i] - 1) // (2 * tau)
     return total
 
 
-def probe_counts(
-    iet: Iet, weights: Sequence[int] | None = None
-) -> Iterator[tuple[int, int, bool, Iet, int, int | None]]:
+def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool, Iet, int, int | None]]:
     """The probe walk of ``iet``, lazily, ending after an identity map: per
     scale its numerator over ``iet.denom``, the state's ``edge_count``,
     whether the walk has passed a tie or a reducible permutation, the last
     materialized state (the anchor) with the number of moves past it, and,
-    given ``weights`` (one integer per interval of ``iet``), the largest
-    sum of weights along a return orbit: with ones, the longest return
-    time.  Without weights that entry is None.
+    when ``timed``, the longest return time to the scale, in steps of
+    ``iet``; untimed, that entry is None.
 
     From an anchor, a run of Rauzy moves of one type is done on integers.
-    Labels keep their lengths, shifts and weights; a move takes the
-    winner's length down by the loser's and adds the winner's shift and
-    weight to the loser's (Veech's h' = B^T h).  In a top run the winner is
-    the domain-last interval and the losers are the intervals whose images
-    lie right of its image, from the right, cyclically; in a bottom run the
-    winner is the image-last interval and the losers those right of it in
-    the domain.  Only those two terms of the count change.  A run ends
-    before a move of the other type, a tie or a move that makes
-    equal-shift neighbours merge; the state there is the first return from
-    the anchor with the budget moves + 1 (a move adds at most one step to
-    a return), and its count and longest return must equal the run's.
-    Without weights that first return is ``induce``; with them it is a
-    weighted ``first_returns`` over the anchor's cells of constant weight,
-    whose pieces are the next anchor's cells.  A run starts only where the
-    cells are the anchor's intervals.  A tie, a merge, a reducible anchor
-    or cells that refine its intervals take the chained first return to
-    its ``shortened_base``, within two steps.
+    Labels keep their lengths, shifts and return times, which start as
+    ones; a move takes the winner's length down by the loser's and adds
+    the winner's shift and return time to the loser's (Veech's h' = B^T h).
+    In a top run the winner is the domain-last interval and the losers are
+    the intervals whose images lie right of its image, from the right,
+    cyclically; in a bottom run the winner is the image-last interval and
+    the losers those right of it in the domain.  Only those two terms of
+    the count change.  A run ends before a move of the other type, a tie or
+    a move that makes equal-shift neighbours merge; the state there is the
+    first return from the anchor with the budget moves + 1 (a move adds at
+    most one step to a return), and its count and longest return must
+    equal the run's.  Untimed, that first return is ``induce``; timed, it
+    is a ``first_returns`` weighted by the return times of the anchor's
+    cells, whose pieces are the next anchor's cells.  A run starts only
+    where the cells are the anchor's intervals.  A tie (L_last == L_beta,
+    beta the image-last interval), a merge, a reducible anchor or cells
+    that refine its intervals take the chained first return, within two
+    steps, to the base of one Rauzy move, b - min(L_last, L_beta).
 
     A run is checked when the entry after it is asked for, so a caller that
     stops inside a run leaves it unchecked: the probes stop at their depth
@@ -435,10 +423,8 @@ def probe_counts(
     """
     denom, anchor, tied, moves = iet.denom, iet, False, 0
     count, longest, cells = edge_count(iet.cuts, iet.shifts), None, None
-    if weights is not None:
-        if len(weights) != iet.m:
-            raise ValueError("need one weight per interval")
-        cells, longest = (iet.cuts, iet.shifts, tuple(weights)), max(weights)
+    if timed:
+        cells, longest = (iet.cuts, iet.shifts, (1,) * iet.m), 1
     while anchor.m > 1:
         cuts, shifts, perm = anchor.cuts, list(anchor.shifts), anchor.permutation
         image, m = anchor.image_order, len(shifts)  # image: the intervals by image
@@ -483,9 +469,9 @@ def probe_counts(
                 else:
                     continue
                 break
-        if not moves:
-            top, tie = shortened_base(anchor)
-            tied = tied or tie or not irreducible
+        if not moves:  # the Rauzy move's base, b - min(L_last, L_beta)
+            top = cuts[m] - min(lengths[m - 1], lengths[beta])
+            tied = tied or lengths[m - 1] == lengths[beta] or not irreducible
         steps = moves + 1 if moves else 2  # a chained step returns within two
         if cells is None:
             anchor = induce(anchor, Fraction(top, denom), steps).induced

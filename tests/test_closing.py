@@ -38,9 +38,10 @@ from ietflow.edges import DEFAULT_WITNESS_GAP, VirtualEdge, find_virtual_edges, 
 from ietflow.edges import sample_iet, sample_uniform_iet
 from ietflow.errors import NotInduced, ReduciblePermutation, TieEncountered
 from ietflow.induction import first_returns, induce, probe_counts, probe_walk, rauzy_step
-from ietflow.induction import default_return_budget, shortened_base
+from ietflow.induction import default_return_budget
 from ietflow.serialize import flow_from_dict, flow_to_dict
 from .test_iet_core import rotation
+from .test_induction import next_base
 
 
 def walk_states(entries):
@@ -613,12 +614,12 @@ class TestRauzyScaleClosing:
 
 def chained_return_walk(base):
     """The closing walk by chained first returns: each state is the first
-    return of the one before to its ``shortened_base``, one ``first_returns``
+    return of the one before to its ``next_base``, one ``first_returns``
     run within two steps over cells weighted by return times.  Yields the
     scale's numerator, the state and the longest return to the scale."""
     state, cuts, shifts, times = base, base.cuts, base.shifts, (1,) * base.m
     while state.m > 1:
-        top, _ = shortened_base(state)
+        top, _ = next_base(state)
         pieces, _ = first_returns(cuts, shifts, times, [], top, 2, base.denom)
         cuts, _, shifts, _, times = zip(*pieces)
         cuts += (top,)
@@ -629,7 +630,7 @@ def chained_return_walk(base):
 def per_entry_return_maps(base, p):
     """``_return_maps`` as it was: p compared and the budget computed at
     every entry."""
-    for entry in probe_counts(base, [1] * base.m):
+    for entry in probe_counts(base, timed=True):
         top, longest = entry[0], entry[5]
         if top * p.denominator <= p.numerator * base.denom:  # b <= p
             return
@@ -657,7 +658,7 @@ def assert_weighted_walk(base, depth=None):
     direct ``induce`` from ``base``; the state at each entry is the chained
     state.  Returns the core's entries and how many of them are chained
     steps where the unweighted walk runs (cells that refine the state)."""
-    core = list(islice(probe_counts(base, [1] * base.m), depth))
+    core = list(islice(probe_counts(base, timed=True), depth))
     chain = list(islice(chained_return_walk(base), depth))
     assert len(core) == len(chain)
     for entry, state, (top, chained, longest) in zip(core, walk_states(core), chain):
@@ -749,7 +750,7 @@ class TestWeightedWalk:
 
         monkeypatch.setattr(induction, "first_returns", longer)
         with pytest.raises(NotInduced) as info:
-            list(probe_counts(rotation(F(1, 1000)), [1, 1]))
+            list(probe_counts(rotation(F(1, 1000)), timed=True))
         assert str(info.value) == "a run to 1/500 returns within 999, its first return within 1000"
 
 

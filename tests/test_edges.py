@@ -136,13 +136,22 @@ class TestMaxDisjointEdges:
         # witness path and with the families' own packing counts
         exact = make_iet([F(1), F(1, 6)], [2, 1])  # (L - 2 tau) / (2 tau) = 2 exactly
         no_family = [make_iet([F(1), tau], [2, 1]) for tau in (F(1, 2), F(3, 4))]  # tau >= L/2
+        # the first piece at L = 2 tau + 1/denom, L = 4 tau and L = 4 tau + 1/denom,
+        # then a piece with tau = 0 between pieces with tau < 0 and tau > 0
+        boundary = {
+            make_iet([F(7, 10), F(3, 10)], [2, 1]): 1,
+            make_iet([F(4, 5), F(1, 5)], [2, 1]): 1,
+            make_iet([F(9, 11), F(2, 11)], [2, 1]): 2,
+            make_iet([F(1, 2), F(1, 8), F(3, 8)], [2, 1, 3]): 1,
+        }
         rng = random.Random(91)
         cases = [random_iet(rng, rng.choice([2, 3, 4, 5]), resolution=60) for _ in range(200)]
-        for e in cases + [exact, *no_family, rotation(F(1, 10)), identity_iet()]:
+        for e in cases + [exact, *no_family, *boundary, rotation(F(1, 10)), identity_iet()]:
             count = max_disjoint_edges(e, with_witness=False)[0]
             witnessed, witness = max_disjoint_edges(e)
             assert count == witnessed == len(witness)
             assert count == sum(fam.max_disjoint() for fam in find_virtual_edges(e))
+        assert {e: max_disjoint_edges(e, with_witness=False)[0] for e in boundary} == boundary
         assert max_disjoint_edges(exact, with_witness=False)[0] == 2
         assert [fam.max_disjoint() for fam in find_virtual_edges(exact)] == [2]
         for e in no_family:
@@ -524,6 +533,7 @@ class TestMeasure:
 
 TENTH = rotation(F(1, 10))
 CRITERION = ClosingCriterion(-3, 1)
+NOT_INTEGERS = "euler_characteristic and k must be integers"
 
 
 @pytest.mark.parametrize(
@@ -562,6 +572,10 @@ CRITERION = ClosingCriterion(-3, 1)
         ),
         (lambda: estimate_full_measure(1, CRITERION, 4, 5, 1), ValueError, "m must be >= 2"),
         (lambda: estimate_full_measure(3, CRITERION, 4, 0, 1), ValueError, "samples must be >= 1"),
+        (lambda: ClosingCriterion(-3, 1.5), ValueError, NOT_INTEGERS),
+        (lambda: ClosingCriterion(-3, True), ValueError, NOT_INTEGERS),
+        (lambda: ClosingCriterion("-3", 1), ValueError, NOT_INTEGERS),
+        (lambda: ClosingCriterion(F(-3), 1), ValueError, NOT_INTEGERS),
     ],
     ids=[
         "edge-at-s-sup",
@@ -573,6 +587,10 @@ CRITERION = ClosingCriterion(-3, 1)
         "probe-scale-0",
         "measure-m-1",
         "measure-no-samples",
+        "criterion-k-float",
+        "criterion-k-bool",
+        "criterion-chi-str",
+        "criterion-chi-fraction",
     ],
 )
 def test_validation_branches(call, error, message):
