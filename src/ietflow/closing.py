@@ -503,6 +503,9 @@ def close_at_point(
     blocked, once the walk reaches a scale <= p or an identity return map,
     below which every return map is the identity, and ReturnTimeExceeded
     at a state whose return outgrows the budget (see ``_return_maps``).
+    Unlike the probes, it leaves the run its walk stops inside unchecked
+    (``induction.check_last_run`` is untimed): each closing is re-checked
+    by its box and twist, and a timed check would need the walk's cells.
     """
     p = as_rational(p)
     if not 0 <= p < flow.base.base_length:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
 from .iet import Iet, RationalLike, as_rational, image_shifts
-from .induction import Record, edge_count, induce, is_irreducible, probe_counts
+from .induction import Record, check_last_run, edge_count, induce, is_irreducible, probe_counts
 
 DEFAULT_WITNESS_GAP = Fraction(1, 10**6)
 
@@ -192,8 +192,11 @@ _CERTIFIED_NOTE = (
 
 def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
     """The first ``depth`` scales of the probe walk (``probe_counts``) and
-    whether the walk passed a tie or a reducible permutation within them."""
+    whether the walk passed a tie or a reducible permutation within them;
+    the run the walk stops inside is checked by ``check_last_run``."""
     walk = list(islice(probe_counts(iet), depth))
+    if walk:
+        check_last_run(walk[-1])
     return [Fraction(top, iet.denom) for top, *_ in walk], any(tied for _, _, tied, _, _, _ in walk)
 
 
@@ -206,7 +209,8 @@ def probe_edge_criterion(
     """Probe the edge quota at each scale of a decreasing sequence.
 
     Default scales are the first ``depth`` of the probe walk, whose edge
-    counts ``probe_counts`` keeps as it goes; explicit
+    counts ``probe_counts`` keeps as it goes, and the run the scan stops
+    inside is checked by ``check_last_run``; explicit
     ``scales`` are all probed, and ``depth`` is then only validated.  The
     verdict is conjunctive over the probed scales: any failing scale
     refutes at this depth (probing stops there), and so does an identity,
@@ -229,19 +233,21 @@ def probe_edge_criterion(
         chain = accumulate(resolved, lambda state, b: induce(state, b).induced, initial=iet)
         states = islice(chain, 1, None)
         counts = (max_disjoint_edges(state, with_witness=False)[0] for state in states)
-        walk = zip(resolved, counts, repeat(False))
+        walk = zip(resolved, counts, repeat(False), repeat(None))
     else:
         core = islice(probe_counts(iet), depth)
-        walk = ((Fraction(top, iet.denom), count, tie) for top, count, tie, _, _, _ in core)
+        walk = ((Fraction(e[0], iet.denom), e[1], e[2], e) for e in core)
 
     # the walk advances with the scan: no first return past the first
     # failure; a tie flag never turns back off, so the last one covers the sweep
     probes: list[ProbeEntry] = []
-    tie = False
-    for scale, count, tie in walk:
+    tie, entry = False, None
+    for scale, count, tie, entry in walk:
         probes.append(ProbeEntry(scale, count, count >= criterion.threshold))
         if not probes[-1].passed:
             break
+    if entry:  # the walk's entry the scan stopped on
+        check_last_run(entry)
     if not probes or not probes[-1].passed:
         verdict = "refuted_at_depth"
     else:
@@ -328,7 +334,8 @@ def estimate_full_measure(
     permutation.  Deterministic for a fixed seed, which must be
     non-negative; worker parallelism does
     not change the output (results are assembled in sample order).  The
-    pool has at most ``min(workers, samples, os.cpu_count())`` processes.
+    pool has at most ``min(workers, samples, os.cpu_count())`` processes,
+    ``workers`` >= 1, and hands each about four chunks of samples.
     ``ietflow.measure`` is imported once per call, not per sample.
     """
     from .measure import MeasureReport, _probe_sample
@@ -341,6 +348,8 @@ def estimate_full_measure(
         raise ValueError("depth must be >= 1")
     if seed < 0:  # ``random.Random`` seeds with abs(seed): -7 would draw as 7
         raise ValueError("seed must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     rng = random.Random(seed)
     jobs = []
     reducible_draws = 0
@@ -349,13 +358,15 @@ def estimate_full_measure(
         reducible_draws += rejected
         jobs.append((index, iet, criterion.threshold, depth))
 
-    # a fork pool starts all its workers at the first submit
+    # a fork pool starts all its workers at the first submit; each worker
+    # takes about four chunks, so few pickling round trips cross the pool
     workers = min(workers, samples, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        chunksize = -(-samples // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = tuple(pool.map(_probe_sample, jobs, chunksize=8))
+            outcomes = tuple(pool.map(_probe_sample, jobs, chunksize=chunksize))
     else:
         outcomes = tuple(map(_probe_sample, jobs))
 

@@ -7,8 +7,9 @@ Two independent routes to the same renormalization are kept side by side:
   arithmetic on integer lengths and shifts (Zorich's accelerated
   induction), carrying return times through the run when timed, and ends
   each run by one exact first return from the run's start, whose edge
-  count and longest return must match the run's; ``probe_walk`` builds
-  the states of its scales, each from the one before, and
+  count and longest return must match the run's; ``check_last_run``
+  checks a run the caller stops inside, and ``probe_walk`` builds the
+  states of its scales, each from the one before, and
 * ``rauzy_step`` performs one Rauzy-Veech move on the translations,
   without any propagation: the points that leave the shortened base come
   back through the last interval, so its translation is added to theirs.
@@ -16,17 +17,18 @@ Two independent routes to the same renormalization are kept side by side:
 The propagation itself is ``first_returns``, on integer numerators: it
 pushes [0, b) forward over a partition into cells until every piece
 re-enters, summing an integer weight per cell along each orbit.
-``induce`` gives it zero weights; the first-return suspension and the
-closing walk weigh roofs and return times with it.
+``induce`` and the untimed walk give it zero weights; the first-return
+suspension and the timed walk weigh roofs and return times with it.
 
 ``check_induction_consistency`` cross-validates the two routes: the n-th
 walk state must equal the n-step Rauzy state, exactly, as canonical maps.
 
-Every first return takes its lattice, range check and step budget from
+``induce`` takes its lattice, range check and default step budget from
 ``base_lattice`` and ``default_return_budget``.  The probe walk is also
-the closing walk (``closing._return_maps`` walks it timed); untimed, a
-run ends in ``induce``, the benchmark's contract for the ``measure``
-step, once per run.
+the closing walk (``closing._return_maps`` walks it timed); timed or not,
+a run ends in one ``first_returns`` on the walk's lattice, so the walk
+calls no ``induce``; ``check_last_run`` does, once per probe that stops
+in a run.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class InducedResult(Record):
     def __init__(
         self, induced: Iet, return_times: tuple[int, ...], ends: tuple[int, ...], parent_top: int
     ):
-        # one per run end of the probe walk: written through the slots' own setters
+        # one per ``induce`` call: written through the slots' own setters
         _set_induced(self, induced)
         _set_return_times(self, return_times)
         _set_ends(self, ends)
@@ -389,6 +391,9 @@ def edge_count(cuts, shifts) -> int:
     return total
 
 
+_RUN_COUNT = "a run to {} counts {} edges, its first return {}"
+
+
 def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool, Iet, int, int | None]]:
     """The probe walk of ``iet``, lazily, ending after an identity map: per
     scale its numerator over ``iet.denom``, the state's ``edge_count``,
@@ -406,20 +411,21 @@ def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool
     cyclically; in a bottom run the winner is the image-last interval and
     the losers those right of it in the domain.  Only those two terms of
     the count change.  A run ends before a move of the other type, a tie or
-    a move that makes equal-shift neighbours merge; the state there is the
-    first return from the anchor with the budget moves + 1 (a move adds at
-    most one step to a return), and its count and longest return must
-    equal the run's.  Untimed, that first return is ``induce``; timed, it
-    is a ``first_returns`` weighted by the return times of the anchor's
-    cells, whose pieces are the next anchor's cells.  A run starts only
-    where the cells are the anchor's intervals.  A tie (L_last == L_beta,
-    beta the image-last interval), a merge, a reducible anchor or cells
-    that refine its intervals take the chained first return, within two
-    steps, to the base of one Rauzy move, b - min(L_last, L_beta).
+    a move that makes equal-shift neighbours merge; the state there is one
+    ``first_returns`` over the anchor's cells with the budget moves + 1 (a
+    move adds at most one step to a return), whose pieces are the next
+    anchor's, and its count and longest return must equal the run's.
+    Untimed, the cells are the anchor's intervals with zero weights; timed,
+    they carry return times and the pieces become the next cells.  A run
+    starts only where the cells are the anchor's intervals.  A tie (L_last
+    == L_beta, beta the image-last interval), a merge, a reducible anchor
+    or cells that refine its intervals take the same first return, within
+    two steps, to the base of one Rauzy move, b - min(L_last, L_beta).
 
-    A run is checked when the entry after it is asked for, so a caller that
-    stops inside a run leaves it unchecked: the probes stop at their depth
-    (``_probe_sample``), ``close_at_point`` after its last closing.
+    A run is checked when the entry after it is asked for; the probes
+    check the run they stop inside with ``check_last_run``.
+    ``close_at_point`` does not: each closing is re-checked by its box and
+    twist, and a timed check would need the walk's cells.
     """
     denom, anchor, tied, moves = iet.denom, iet, False, 0
     count, longest, cells = edge_count(iet.cuts, iet.shifts), None, None
@@ -473,24 +479,39 @@ def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool
             top = cuts[m] - min(lengths[m - 1], lengths[beta])
             tied = tied or lengths[m - 1] == lengths[beta] or not irreducible
         steps = moves + 1 if moves else 2  # a chained step returns within two
-        if cells is None:
-            anchor = induce(anchor, Fraction(top, denom), steps).induced
-        else:
-            pieces, _ = first_returns(*cells, [], top, steps, denom)
-            starts, _, offsets, _, totals = zip(*pieces)
-            cells = starts + (top,), offsets, totals
-            anchor = Iet.from_lattice(denom, cells[0], offsets)
+        # untimed, the cells are the anchor's intervals, weighing nothing
+        walked = cells or (cuts, anchor.shifts, [0] * m)
+        pieces, _ = first_returns(*walked, [], top, steps, denom)
+        starts, _, offsets, _, totals = zip(*pieces)
+        ends = starts + (top,)
+        anchor = Iet.from_lattice(denom, ends, offsets)
         found = edge_count(anchor.cuts, anchor.shifts)
-        most = None if cells is None else max(cells[2])
+        most = None
+        if timed:
+            cells, most = (ends, offsets, totals), max(totals)
         if not moves:
             count, longest = found, most
             yield top, count, tied, anchor, 0, longest
         elif found != count:
-            b = Fraction(top, denom)
-            raise NotInduced(f"a run to {b} counts {count} edges, its first return {found}")
+            raise NotInduced(_RUN_COUNT.format(Fraction(top, denom), count, found))
         elif most != longest:
             b = Fraction(top, denom)
             raise NotInduced(f"a run to {b} returns within {longest}, its first return within {most}")
+
+
+def check_last_run(entry: tuple[int, int, bool, Iet, int, int | None]) -> None:
+    """Check the untimed ``probe_counts`` entry a probe stops on.  Inside a
+    run (moves > 0), the state there is ``induce`` from the entry's anchor
+    with the budget moves + 1, and its ``edge_count`` must equal the
+    entry's count, else NotInduced names the scale; at an anchor there is
+    nothing left to check."""
+    top, count, _, anchor, moves, _ = entry
+    if moves:
+        b = Fraction(top, anchor.denom)
+        state = induce(anchor, b, moves + 1).induced
+        found = edge_count(state.cuts, state.shifts)
+        if found != count:
+            raise NotInduced(_RUN_COUNT.format(b, count, found))
 
 
 def probe_walk(iet: Iet) -> Iterator[tuple[Iet, bool]]:

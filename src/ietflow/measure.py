@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .edges import ClosingCriterion
-from .induction import probe_counts
+from .induction import check_last_run, probe_counts
 
 
 @dataclass(frozen=True)
@@ -48,18 +48,20 @@ def _probe_sample(job) -> SampleOutcome:
     """Worker body: the visit-based outcome of one sampled exchange.  Its
     counts come from the probe walk's core, ``probe_counts``, by arithmetic
     within each run of Rauzy moves; a run ends in one first return, and
-    no state is built within it.  The walk stops at ``depth``, so a run
-    still open there never reaches its run-end first return, and is left
-    unchecked."""
+    no state is built within it.  The walk stops at ``depth``, where a run
+    still open gets its first return from ``check_last_run``."""
     index, iet, threshold, depth = job
     probed = passed = 0
     first = None
-    tie = False  # the last tie flag covers the sweep
-    for _, count, tie, _, _, _ in islice(probe_counts(iet), depth):
+    tie = False
+    for entry in islice(probe_counts(iet), depth):
         probed += 1
-        if count >= threshold:
+        if entry[1] >= threshold:
             passed += 1
             first = first or probed
+    if probed:
+        check_last_run(entry)
+        tie = entry[2]  # the last tie flag covers the sweep
     if passed:
         verdict = "certified_to_depth"
     else:

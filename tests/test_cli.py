@@ -292,6 +292,18 @@ class TestCli:
         assert captured.err == "usage error: seed must be >= 0\n"
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_measure_workers_below_one_exit_1(self, capsys, monkeypatch, tmp_path, workers):
+        # a pool of no workers used to run sequentially and exit 0
+        monkeypatch.setenv("IETFLOW_WORKERS", workers)
+        csv_path = tmp_path / "w.csv"
+        argv = ["measure", "--m", "3", "--samples", "5", "--seed", "1", "--depth", "4"]
+        assert run(argv + ["--csv", str(csv_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: workers must be >= 1\n"
+        assert not csv_path.exists()
+
     def test_measure_worker_pool_bytes(self, tmp_path):
         # the worker count comes from the environment and never changes
         # the report; a count that is not an integer is a usage error

@@ -7,6 +7,7 @@ import math
 import os
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -20,6 +21,7 @@ from ietflow import (
     max_disjoint_edges,
     probe_edge_criterion,
 )
+from ietflow import induction
 from ietflow.cli import run
 from ietflow.closing import _return_maps
 from ietflow.edges import (
@@ -30,8 +32,8 @@ from ietflow.edges import (
     sample_iet,
     sample_uniform_iet,
 )
-from ietflow.errors import ReduciblePermutation, ReturnTimeExceeded, TieEncountered
-from ietflow.induction import induce, probe_walk, rauzy_step
+from ietflow.errors import NotInduced, ReduciblePermutation, ReturnTimeExceeded, TieEncountered
+from ietflow.induction import induce, probe_counts, probe_walk, rauzy_step
 from ietflow.measure import _probe_sample
 from ietflow.serialize import dump_iet
 from .test_closing import walk_states
@@ -331,6 +333,82 @@ class TestProbeWalk:
         assert walk == [(F(k, 8), True) for k in (7, 6, 5, 4, 2)]
 
 
+SLOW_ROTATION = rotation(F(1, 1000))
+TIE_FIXTURE = make_iet([F(217, 500), F(17, 125), F(107, 250), F(1, 500)], [2, 4, 3, 1])
+REDUCIBLE = make_iet([F(1, 4), F(1, 4), F(1, 8), F(3, 8)], [2, 1, 4, 3])
+
+# the three probes that cut the walk, each called on an exchange and a depth
+PROBES = {
+    "sample": lambda iet, depth: _probe_sample((0, iet, 1, depth)),
+    "scales": default_probe_scales,
+    "criterion": lambda iet, depth: probe_edge_criterion(iet, ClosingCriterion(-3, 1), depth),
+}
+
+
+class TestLastRunCheck:
+    """A probe checks the run its walk stops inside by one ``induce`` from
+    that run's anchor; the walk itself calls none."""
+
+    @staticmethod
+    def recorded_induce(monkeypatch):
+        calls = []
+
+        def recording(parent, b, max_steps=None):
+            calls.append((parent, b, max_steps))
+            return induce(parent, b, max_steps)
+
+        monkeypatch.setattr(induction, "induce", recording)
+        return calls
+
+    @staticmethod
+    def stop_entry(probe, iet, depth, result):
+        # the criterion's scan stops at its first failing scale
+        core = list(islice(probe_counts(iet), depth))
+        return core[len(result.probes) - 1] if probe == "criterion" else core[-1]
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    @pytest.mark.parametrize(
+        "iet, depth",
+        [(SLOW_ROTATION, 5), (TIE_FIXTURE, 19)],
+        ids=["rotation-depth-5", "tie-fixture-depth-19"],
+    )
+    def test_a_stop_inside_a_run_takes_one_induce(self, monkeypatch, probe, iet, depth):
+        calls = self.recorded_induce(monkeypatch)
+        result = PROBES[probe](iet, depth)
+        top, _, _, anchor, moves, _ = self.stop_entry(probe, iet, depth, result)
+        assert moves > 0
+        assert calls == [(anchor, F(top, iet.denom), moves + 1)]
+
+    def test_the_criterion_checks_the_scale_it_fails_at(self, monkeypatch):
+        # the slow rotation's counts reach 0 at 3/1000, 997 moves into its
+        # one run, and the scan stops there, short of its depth
+        calls = self.recorded_induce(monkeypatch)
+        report = probe_edge_criterion(SLOW_ROTATION, ClosingCriterion(-3, 1), 999)
+        assert len(report.probes) == 997 and report.probes[-1].scale == F(3, 1000)
+        assert calls == [(SLOW_ROTATION, F(3, 1000), 998)]
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    @pytest.mark.parametrize(
+        "iet, depth",
+        [(TIE_FIXTURE, 20), (REDUCIBLE, 5)],
+        ids=["tie-fixture-depth-20", "reducible-depth-5"],
+    )
+    def test_a_stop_on_an_anchor_takes_none(self, monkeypatch, probe, iet, depth):
+        calls = self.recorded_induce(monkeypatch)
+        result = PROBES[probe](iet, depth)
+        assert self.stop_entry(probe, iet, depth, result)[4] == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_a_wrong_state_at_the_stop_raises(self, monkeypatch, probe):
+        # the state handed back is the anchor itself, which counts 499 edges
+        # where the run's fifth move counts 496
+        monkeypatch.setattr(induction, "induce", lambda parent, b, max_steps: induce(parent, 1))
+        with pytest.raises(NotInduced) as info:
+            PROBES[probe](SLOW_ROTATION, 5)
+        assert str(info.value) == "a run to 199/200 counts 496 edges, its first return 499"
+
+
 class TestMeasure:
     def test_deterministic_given_seed(self):
         crit = ClosingCriterion(-3, 1)
@@ -530,10 +608,45 @@ class TestMeasure:
         assert sizes == ([] if pool_size is None else [pool_size])
         assert seq.per_sample == par.per_sample
 
+    @pytest.mark.parametrize(
+        "workers, samples, cpus, chunksize",
+        [(2, 100, 8, 13), (4, 100, 4, 7), (64, 10, 3, 1), (2, 4, 2, 1)],
+    )
+    def test_worker_pool_takes_four_chunks_a_worker(
+        self, monkeypatch, workers, samples, cpus, chunksize
+    ):
+        # ceil(samples / (4 * pool size)): few pickling round trips per worker
+        chunks = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                chunks.append(chunksize)
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        crit = ClosingCriterion(-3, 1)
+        seq = estimate_full_measure(3, crit, depth=3, samples=samples, seed=13, resolution=500)
+        par = estimate_full_measure(
+            3, crit, depth=3, samples=samples, seed=13, resolution=500, workers=workers
+        )
+        assert chunks == [chunksize]
+        assert seq.per_sample == par.per_sample
+
 
 TENTH = rotation(F(1, 10))
 CRITERION = ClosingCriterion(-3, 1)
 NOT_INTEGERS = "euler_characteristic and k must be integers"
+WORKERS = "workers must be >= 1"
 
 
 @pytest.mark.parametrize(
@@ -572,6 +685,8 @@ NOT_INTEGERS = "euler_characteristic and k must be integers"
         ),
         (lambda: estimate_full_measure(1, CRITERION, 4, 5, 1), ValueError, "m must be >= 2"),
         (lambda: estimate_full_measure(3, CRITERION, 4, 0, 1), ValueError, "samples must be >= 1"),
+        (lambda: estimate_full_measure(3, CRITERION, 4, 5, 1, workers=0), ValueError, WORKERS),
+        (lambda: estimate_full_measure(3, CRITERION, 4, 5, 1, workers=-2), ValueError, WORKERS),
         (lambda: ClosingCriterion(-3, 1.5), ValueError, NOT_INTEGERS),
         (lambda: ClosingCriterion(-3, True), ValueError, NOT_INTEGERS),
         (lambda: ClosingCriterion("-3", 1), ValueError, NOT_INTEGERS),
@@ -587,6 +702,8 @@ NOT_INTEGERS = "euler_characteristic and k must be integers"
         "probe-scale-0",
         "measure-m-1",
         "measure-no-samples",
+        "measure-workers-0",
+        "measure-workers-negative",
         "criterion-k-float",
         "criterion-k-bool",
         "criterion-chi-str",
