@@ -21,12 +21,12 @@ closing parameter the orbit through the vertex b crosses the box once and
 returns exactly to b.
 
 Flows and boxes are stored on integer lattices, as exchanges are, with
-their public ``Fraction``s built when read.  The edge pick hands its
-edge's numerators to one box core, which checks the edge, the singular
-points and the roof cell on the flow's lattice.  The closing parameter has
-a closed form, evaluated in floating point without any search; the float
-twisted kernel, whose floats are read off the lattices, re-validates it by
-forward integration.
+their public ``Fraction``s built when read.  The edge pick hands each
+candidate's numerators to one box core, which checks the singular points
+and the roof cell; ``build_flow_box`` validates its edge first.  The
+closing parameter has a closed form, evaluated in floating point without
+any search; the float twisted kernel, whose floats are read off the
+lattices, re-validates it by forward integration.
 
 Closing walks down the scales of the probe walk (``probe_counts``; Rauzy
 states away from ties, cross-checked by ``rauzy_step``), with return
@@ -172,18 +172,11 @@ class FlowBox(Record):
 
 
 def _box(flow: SuspensionFlow, denom: int, a: int, b: int, c: int) -> FlowBox:
-    """The box over the edge [a, c] with vertex b, numerators over a multiple
-    ``denom`` of ``flow.denom``.  Raises what ``VirtualEdge.validate`` raises
-    (checked on integers), SingularityInBox when a singular point lies on
-    [a, c] and ValueError when the strip [a, b] leaves its roof cell."""
-    base, up, lift = flow.base, denom // flow.base.denom, denom // flow.denom
-    piece = bisect.bisect_right(base.cuts, a // up) - 1
-    # validate's conditions on integers; where one fails, validate raises its error
-    in_piece = 0 <= a < base.cuts[-1] * up and a < b < c < base.cuts[piece + 1] * up
-    if not (in_piece and b - a == c - b == base.shifts[piece] * up):
-        VirtualEdge(*_fractions((a, b, c), denom)).validate(base)
-
-    sing, cuts = flow.sing, flow.cuts
+    """The box over [a, c] with vertex b, numerators over a multiple
+    ``denom`` of ``flow.denom``; the caller passes an edge of the base.
+    Raises SingularityInBox when a singular point lies on [a, c] and
+    ValueError when the strip [a, b] leaves its roof cell."""
+    sing, cuts, lift = flow.sing, flow.cuts, denom // flow.denom
     k = bisect.bisect_left(sing, -(-a // lift))  # the first singular point >= a
     if k < len(sing) and sing[k] * lift <= c:
         raise SingularityInBox(Fraction(sing[k], flow.denom))
@@ -199,6 +192,7 @@ def build_flow_box(flow: SuspensionFlow, edge: VirtualEdge) -> FlowBox:
     least lattice holding both.  Raises OutOfDomain or ValueError for an
     edge ``VirtualEdge.validate`` rejects and SingularityInBox when a
     singular point lies on [a_bar, c_bar] (either flight would die)."""
+    edge.validate(flow.base)
     ends = (edge.s, edge.e1, edge.t)
     denom = math.lcm(flow.denom, *(x.denominator for x in ends))
     return _box(flow, denom, *_numerators(ends, denom))
@@ -450,14 +444,13 @@ def _pick_admissible_edge(flow: SuspensionFlow, blocked: list) -> FlowBox | None
     """The box over the leftmost edge whose strip stays under one roof cell
     and whose span avoids every singular point.
 
-    An edge family lives in one base piece, so only the partition cells
-    inside it are scanned, on the flow's lattice.  Where a singular point
-    blocks a cell's leftmost edge, the exact candidates just right of each
-    singular point in the cell, ``DEFAULT_WITNESS_GAP`` past it or half
-    way to the cell's end, are tried in turn; each one blocked is appended
-    to ``blocked`` with the singular point blocking it."""
+    An edge family lives in one base piece, so only its partition cells
+    are scanned, on integers.  A cell's candidates, its leftmost start and
+    the start ``DEFAULT_WITNESS_GAP`` past each singular point in it (or
+    half way to the cell's end), go to ``_box`` in turn; each one blocked
+    is appended to ``blocked`` as a ``VirtualEdge`` with its singular point."""
     base, cuts, sing, d = flow.base, flow.cuts, flow.sing, flow.denom
-    lift = d // base.denom
+    lift, gap = d // base.denom, DEFAULT_WITNESS_GAP
     for i, tau in enumerate(base.shifts):
         lo, off = base.cuts[i] * lift, tau * lift
         s_sup = base.cuts[i + 1] * lift - 2 * off
@@ -467,19 +460,19 @@ def _pick_admissible_edge(flow: SuspensionFlow, blocked: list) -> FlowBox | None
             sub_lo, sub_sup = cuts[j], min(s_sup, cuts[j + 1] - off)
             if sub_lo >= sub_sup:
                 continue
-            ends = (sub_lo, sub_lo + off, sub_lo + 2 * off)
-            try:
-                return _box(flow, d, *ends)
-            except SingularityInBox as exc:
-                blocked.append((VirtualEdge(*_fractions(ends, d)), exc.point))
-            offset = Fraction(off, d)
-            for q in sing[bisect.bisect_left(sing, sub_lo) : bisect.bisect_left(sing, sub_sup)]:
-                s = Fraction(q, d) + min(DEFAULT_WITNESS_GAP, Fraction(sub_sup - q, 2 * d))
-                edge = VirtualEdge(s, s + offset, s + 2 * offset)
+            starts = [(d, sub_lo)]
+            hits = sing[bisect.bisect_left(sing, sub_lo) : bisect.bisect_left(sing, sub_sup)]
+            if hits:  # q + min(gap, (sub_sup - q) / 2), on a lattice holding both
+                fine = math.lcm(2 * d, gap.denominator)
+                up, half, step = fine // d, fine // (2 * d), gap.numerator * (fine // gap.denominator)
+                starts += [(fine, q * up + min(step, (sub_sup - q) * half)) for q in hits]
+            for denom, s in starts:
+                u = off * (denom // d)
+                ends = (s, s + u, s + 2 * u)
                 try:
-                    return build_flow_box(flow, edge)
+                    return _box(flow, denom, *ends)
                 except SingularityInBox as exc:
-                    blocked.append((edge, exc.point))
+                    blocked.append((VirtualEdge(*_fractions(ends, denom)), exc.point))
     return None
 
 
@@ -504,8 +497,8 @@ def close_at_point(
     below which every return map is the identity, and ReturnTimeExceeded
     at a state whose return outgrows the budget (see ``_return_maps``).
     Unlike the probes, it leaves the run its walk stops inside unchecked
-    (``induction.check_last_run`` is untimed): each closing is re-checked
-    by its box and twist, and a timed check would need the walk's cells.
+    (``induction.probe_prefix``'s check is untimed): each closing is
+    re-checked by its box and twist; a timed check would need the walk's cells.
     """
     p = as_rational(p)
     if not 0 <= p < flow.base.base_length:

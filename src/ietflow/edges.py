@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
 from .iet import Iet, RationalLike, as_rational, image_shifts
-from .induction import Record, check_last_run, edge_count, induce, is_irreducible, probe_counts
+from .induction import Record, edge_count, induce, is_irreducible, probe_prefix
 
 DEFAULT_WITNESS_GAP = Fraction(1, 10**6)
 
@@ -191,13 +191,11 @@ _CERTIFIED_NOTE = (
 
 
 def default_probe_scales(iet: Iet, depth: int) -> tuple[list[Fraction], bool]:
-    """The first ``depth`` scales of the probe walk (``probe_counts``) and
-    whether the walk passed a tie or a reducible permutation within them;
-    the run the walk stops inside is checked by ``check_last_run``."""
-    walk = list(islice(probe_counts(iet), depth))
-    if walk:
-        check_last_run(walk[-1])
-    return [Fraction(top, iet.denom) for top, *_ in walk], any(tied for _, _, tied, _, _, _ in walk)
+    """The scales of ``probe_prefix`` to ``depth``, the first ``depth`` of
+    the probe walk, checked where the prefix stops, and whether the walk
+    passed a tie or a reducible permutation within them."""
+    walk = probe_prefix(iet, depth)
+    return [Fraction(top, iet.denom) for top, *_ in walk], bool(walk) and walk[-1][2]
 
 
 def probe_edge_criterion(
@@ -208,18 +206,20 @@ def probe_edge_criterion(
 ) -> EdgeCriterionReport:
     """Probe the edge quota at each scale of a decreasing sequence.
 
-    Default scales are the first ``depth`` of the probe walk, whose edge
-    counts ``probe_counts`` keeps as it goes, and the run the scan stops
-    inside is checked by ``check_last_run``; explicit
-    ``scales`` are all probed, and ``depth`` is then only validated.  The
-    verdict is conjunctive over the probed scales: any failing scale
-    refutes at this depth (probing stops there), and so does an identity,
-    which has no scale below its base; a clean sweep is
+    Default scales are those of ``probe_prefix`` with the criterion's
+    threshold: the first ``depth`` of the probe walk, whose edge counts
+    ``probe_counts`` keeps as it goes, cut at the first failing scale and
+    checked where they stop.  Explicit ``scales`` are probed in turn, each
+    first return induced from the one before, and ``depth`` is then only
+    validated.  The verdict is conjunctive over the probed scales: any
+    failing scale refutes at this depth (probing stops there), and so does
+    an identity, which has no scale below its base; a clean sweep is
     certified_to_depth, downgraded to undecided_tie when the walk passed a
     tie within it, which ``used_fallback_scales`` reports.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    threshold = criterion.threshold
     if scales is not None:
         resolved = [as_rational(s) for s in scales]
         if not resolved:
@@ -231,23 +231,19 @@ def probe_edge_criterion(
             raise ValueError("scales must lie in (0, base]")
         # each scale's first return is induced from the one before, tie flags off
         chain = accumulate(resolved, lambda state, b: induce(state, b).induced, initial=iet)
-        states = islice(chain, 1, None)
-        counts = (max_disjoint_edges(state, with_witness=False)[0] for state in states)
-        walk = zip(resolved, counts, repeat(False), repeat(None))
+        counts = (edge_count(state.cuts, state.shifts) for state in islice(chain, 1, None))
+        walk = zip(resolved, counts, repeat(False))
     else:
-        core = islice(probe_counts(iet), depth)
-        walk = ((Fraction(e[0], iet.denom), e[1], e[2], e) for e in core)
+        walk = ((Fraction(e[0], iet.denom), e[1], e[2]) for e in probe_prefix(iet, depth, threshold))
 
-    # the walk advances with the scan: no first return past the first
-    # failure; a tie flag never turns back off, so the last one covers the sweep
+    # explicit scales are induced with the scan, none past the first failure;
+    # a tie flag never turns back off, so the last one covers the sweep
     probes: list[ProbeEntry] = []
-    tie, entry = False, None
-    for scale, count, tie, entry in walk:
-        probes.append(ProbeEntry(scale, count, count >= criterion.threshold))
-        if not probes[-1].passed:
+    tie = False
+    for scale, count, tie in walk:
+        probes.append(ProbeEntry(scale, count, count >= threshold))
+        if count < threshold:
             break
-    if entry:  # the walk's entry the scan stopped on
-        check_last_run(entry)
     if not probes or not probes[-1].passed:
         verdict = "refuted_at_depth"
     else:

@@ -46,10 +46,11 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a "p/q" or integer string; decimal and float forms are rejected."""
+    """Parse a "p/q" or integer string of ASCII digits; decimals, floats and
+    digit separators (``Fraction`` takes "1_0/2" from Python 3.11) are rejected."""
     stripped = text.strip()
-    if any(c in stripped for c in ".eE"):
-        raise FormatError(f"rational {text!r} must be a decimal-free p/q string")
+    if not stripped.isascii() or any(c in stripped for c in "._eE"):
+        raise FormatError(f"rational {text!r} must be a decimal-free p/q string of ASCII digits")
     try:
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:

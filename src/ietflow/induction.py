@@ -7,9 +7,10 @@ Two independent routes to the same renormalization are kept side by side:
   arithmetic on integer lengths and shifts (Zorich's accelerated
   induction), carrying return times through the run when timed, and ends
   each run by one exact first return from the run's start, whose edge
-  count and longest return must match the run's; ``check_last_run``
-  checks a run the caller stops inside, and ``probe_walk`` builds the
-  states of its scales, each from the one before, and
+  count and longest return must match the run's; ``probe_prefix`` is
+  the walk as the probes read it, cut at a depth or a failing count and
+  checked where it stops, and ``probe_walk`` builds the states of its
+  scales, each from the one before, and
 * ``rauzy_step`` performs one Rauzy-Veech move on the translations,
   without any propagation: the points that leave the shortened base come
   back through the last interval, so its translation is added to theirs.
@@ -27,7 +28,7 @@ walk state must equal the n-step Rauzy state, exactly, as canonical maps.
 ``base_lattice`` and ``default_return_budget``.  The probe walk is also
 the closing walk (``closing._return_maps`` walks it timed); timed or not,
 a run ends in one ``first_returns`` on the walk's lattice, so the walk
-calls no ``induce``; ``check_last_run`` does, once per probe that stops
+calls no ``induce``; ``probe_prefix`` does, once per probe that stops
 in a run.
 """
 
@@ -38,6 +39,7 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice
 from operator import attrgetter
 
 from .errors import NotInduced, ReduciblePermutation, ReturnTimeExceeded, TieEncountered
@@ -423,9 +425,9 @@ def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool
     two steps, to the base of one Rauzy move, b - min(L_last, L_beta).
 
     A run is checked when the entry after it is asked for; the probes
-    check the run they stop inside with ``check_last_run``.
-    ``close_at_point`` does not: each closing is re-checked by its box and
-    twist, and a timed check would need the walk's cells.
+    read the walk through ``probe_prefix``, which checks the run they stop
+    inside.  ``close_at_point`` does not: each closing is re-checked by its
+    box and twist, and a timed check would need the walk's cells.
     """
     denom, anchor, tied, moves = iet.denom, iet, False, 0
     count, longest, cells = edge_count(iet.cuts, iet.shifts), None, None
@@ -499,19 +501,27 @@ def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool
             raise NotInduced(f"a run to {b} returns within {longest}, its first return within {most}")
 
 
-def check_last_run(entry: tuple[int, int, bool, Iet, int, int | None]) -> None:
-    """Check the untimed ``probe_counts`` entry a probe stops on.  Inside a
-    run (moves > 0), the state there is ``induce`` from the entry's anchor
-    with the budget moves + 1, and its ``edge_count`` must equal the
-    entry's count, else NotInduced names the scale; at an anchor there is
-    nothing left to check."""
-    top, count, _, anchor, moves, _ = entry
-    if moves:
+def probe_prefix(iet: Iet, depth: int, threshold: int = 0) -> list[tuple[int, int, bool, Iet, int, None]]:
+    """The first ``depth`` entries of the untimed ``probe_counts``, cut
+    after the first whose count is below ``threshold``: the walk as a probe
+    reads it.  The entry it stops on is checked: inside a run (moves > 0),
+    the state there is ``induce`` from the entry's anchor with the budget
+    moves + 1, and its ``edge_count`` must equal the entry's count, else
+    NotInduced names the scale; at an anchor there is nothing left to
+    check."""
+    prefix = []
+    for entry in islice(probe_counts(iet), depth):
+        prefix.append(entry)
+        if entry[1] < threshold:
+            break
+    if prefix and prefix[-1][4]:
+        top, count, _, anchor, moves, _ = prefix[-1]
         b = Fraction(top, anchor.denom)
         state = induce(anchor, b, moves + 1).induced
         found = edge_count(state.cuts, state.shifts)
         if found != count:
             raise NotInduced(_RUN_COUNT.format(b, count, found))
+    return prefix
 
 
 def probe_walk(iet: Iet) -> Iterator[tuple[Iet, bool]]:

@@ -4,18 +4,17 @@
 module once per call, so ``edges`` and ``probe`` load neither it nor
 ``dataclasses``.  ``SampleOutcome`` and ``MeasureReport`` are frozen
 dataclasses.  ``_probe_sample``, the worker a pool pickles by name, reads
-one exchange's counts off the probe walk's core; it runs once per sample
-and holds no import statement.
+one exchange's counts off the probe walk's checked prefix; it runs once
+per sample and holds no import statement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .edges import ClosingCriterion
-from .induction import check_last_run, probe_counts
+from .induction import probe_prefix
 
 
 @dataclass(frozen=True)
@@ -46,24 +45,18 @@ class MeasureReport:
 
 def _probe_sample(job) -> SampleOutcome:
     """Worker body: the visit-based outcome of one sampled exchange.  Its
-    counts come from the probe walk's core, ``probe_counts``, by arithmetic
-    within each run of Rauzy moves; a run ends in one first return, and
-    no state is built within it.  The walk stops at ``depth``, where a run
-    still open gets its first return from ``check_last_run``."""
+    counts are the ``depth`` entries of ``probe_prefix``, which the walk
+    core ``probe_counts`` computes by arithmetic within each run of Rauzy
+    moves; a run ends in one first return, no state is built within it,
+    and a run still open at ``depth`` is checked by the prefix."""
     index, iet, threshold, depth = job
-    probed = passed = 0
-    first = None
-    tie = False
-    for entry in islice(probe_counts(iet), depth):
-        probed += 1
-        if entry[1] >= threshold:
-            passed += 1
-            first = first or probed
-    if probed:
-        check_last_run(entry)
-        tie = entry[2]  # the last tie flag covers the sweep
-    if passed:
+    walk = probe_prefix(iet, depth)
+    passes = [n for n, entry in enumerate(walk, 1) if entry[1] >= threshold]
+    tie = bool(walk) and walk[-1][2]  # the last tie flag covers the sweep
+    if passes:
         verdict = "certified_to_depth"
     else:
         verdict = "undecided_tie" if tie else "refuted_at_depth"
+    first = passes[0] if passes else None
+    probed, passed = len(walk), len(passes)
     return SampleOutcome(index, iet.lengths, iet.permutation, verdict, probed, passed, first, tie)

@@ -83,6 +83,11 @@ class TestWireFormat:
         with pytest.raises(FormatError):
             iet_from_dict({"lengths": ["0.5", "0.5"], "permutation": [2, 1]})
 
+    @pytest.mark.parametrize("length", ["1_0/2_0", "\u0661/\u0662"], ids=["separators", "arabic-indic"])
+    def test_rejects_separators_and_non_ascii_digits(self, length):
+        with pytest.raises(FormatError, match="ASCII digits"):
+            iet_from_dict({"lengths": [length, "1/2"], "permutation": [2, 1]})
+
     def test_rejects_non_canonical_permutation(self):
         with pytest.raises(FormatError, match="canonical"):
             iet_from_dict({"lengths": ["1/2", "1/2"], "permutation": [1, 2]})
@@ -200,6 +205,15 @@ class TestCli:
     def test_malformed_rational_exit_1(self, rot13_path, capsys):
         assert run(["eval", "--input", rot13_path, "--x", "0.5"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x", ["1_0/2_0", "\u0661/\u0662"], ids=["separators", "arabic-indic"])
+    def test_separators_and_non_ascii_digits_exit_1(self, rot13_path, capsys, x):
+        # Fraction reads both as 1/2 from Python 3.11 on; a file or option
+        # must mean the same on every Python
+        assert run(["eval", "--input", rot13_path, "--x", x]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: rational {x!r} must be a decimal-free p/q string of ASCII digits\n"
 
     def test_non_canonical_file_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

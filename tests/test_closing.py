@@ -964,7 +964,12 @@ class TestLatticeEdgePick:
             blocked, expected = [], []
             box = _pick_admissible_edge(flow, blocked)
             edge = None if box is None else VirtualEdge(box.a_bar, box.b_bar, box.c_bar)
-            assert edge == pick_oracle(flow, expected), flow
+            oracle = pick_oracle(flow, expected)
+            assert edge == oracle, flow
+            if oracle is not None:  # boxes compare by tangent edge: vertices, r1 and r2
+                assert box == build_flow_box(flow, oracle), flow
+                assert box.strip_height == flow.roof_at(oracle.s), flow
+                assert box.total_height - box.strip_height == flow.roof_at(oracle.e1), flow
             assert blocked == expected, flow
             for found, hit in blocked:
                 assert type(hit) is F and hit in flow.singular_points

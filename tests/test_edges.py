@@ -33,7 +33,7 @@ from ietflow.edges import (
     sample_uniform_iet,
 )
 from ietflow.errors import NotInduced, ReduciblePermutation, ReturnTimeExceeded, TieEncountered
-from ietflow.induction import induce, probe_counts, probe_walk, rauzy_step
+from ietflow.induction import induce, probe_counts, probe_prefix, probe_walk, rauzy_step
 from ietflow.measure import _probe_sample
 from ietflow.serialize import dump_iet
 from .test_closing import walk_states
@@ -407,6 +407,35 @@ class TestLastRunCheck:
         with pytest.raises(NotInduced) as info:
             PROBES[probe](SLOW_ROTATION, 5)
         assert str(info.value) == "a run to 199/200 counts 496 edges, its first return 499"
+
+
+class TestProbePrefix:
+    """``probe_prefix`` is the walk a probe reads: the first ``depth``
+    entries of ``probe_counts``, cut after the first count below the
+    threshold."""
+
+    @staticmethod
+    def scan(iet, depth, threshold):
+        entries = []
+        for entry in islice(probe_counts(iet), depth):
+            entries.append(entry)
+            if entry[1] < threshold:
+                break
+        return entries
+
+    def test_matches_a_direct_scan(self):
+        rng = random.Random(32)
+        cut = inside = 0
+        for i in range(160):
+            iet, _ = sample_uniform_iet(rng, 2 + i % 4, 10**6)
+            for depth in (1, 4, 17, 40):
+                for threshold in range(4):
+                    prefix = probe_prefix(iet, depth, threshold)
+                    assert prefix == self.scan(iet, depth, threshold), (iet, depth, threshold)
+                    cut += len(prefix) < len(list(islice(probe_counts(iet), depth)))
+                    inside += bool(prefix) and prefix[-1][4] > 0
+        # both ways to stop, and stops inside a run, are exercised
+        assert cut >= 100 and inside >= 100, (cut, inside)
 
 
 class TestMeasure:

@@ -13,6 +13,7 @@ from ietflow import (
     PermutationNotBijective,
     identity_iet,
     make_iet,
+    parse_rational,
 )
 
 
@@ -238,3 +239,18 @@ def test_validation_branches(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text", ["0.5", "1e3", "1_0/2_0", "1/2_0", "\u0661/\u0662", "\u0663", "1/\uff12"]
+)
+def test_parse_rational_rejects_decimals_separators_and_other_digits(text):
+    with pytest.raises(FormatError):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("1/2", F(1, 2)), (" -1/2 ", F(-1, 2)), ("+3", F(3)), ("\t4/6\n", F(2, 3))]
+)
+def test_parse_rational_keeps_sign_and_surrounding_whitespace(text, value):
+    assert parse_rational(text) == value
