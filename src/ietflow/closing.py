@@ -34,9 +34,9 @@ times carried through each run of Rauzy moves on integers, and stops on
 exact invariants: a scale <= p or an identity return map.  It also stops
 where a return outgrows the budget ``induce`` would give that scale.  A
 first-return suspension is built only at a scale whose edge count meets
-the quota, from the previous closing's suspension.  The return times at
-each run's end and the roofs are the weights of the integer kernel
-``first_returns``, whose pieces are the new flow's lattice.
+the quota, from the previous closing's suspension, by one
+``induction.induced_lattice`` over the flow's cells and their shifts,
+weighted by the roofs: the next lattice it returns is the new flow's.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import (
 from .edges import DEFAULT_WITNESS_GAP, ClosingCriterion, VirtualEdge
 from .iet import Iet, RationalLike, as_rational, lattice_cell
 # unused ``induce`` is read by test_tracer_rebinds_every_import_site_and_restores_them
-from .induction import Record, base_lattice, default_return_budget, first_returns, induce, probe_counts
+from .induction import Record, default_return_budget, induce, induced_lattice, probe_counts
 
 SINGULAR_SNAP = 1e-12
 
@@ -83,9 +83,11 @@ class SuspensionFlow:
     ``singular_points`` are base points whose forward orbit is undefined;
     ``K`` is the singularity count of the modeled surface flow.
 
-    Like ``Iet``, a flow is stored as integers: ``cuts`` (the partition)
-    and ``sing`` (the sorted singular points) over ``denom``, a multiple of
-    ``base.denom``, and ``rnums``, the roofs over ``rden``.  The public
+    Like ``Iet``, a flow is stored as integers: ``cuts`` (the partition),
+    ``shifts`` (each cell's translation, set once from the base or, for a
+    first return, from its kernel) and ``sing`` (the sorted singular
+    points) over ``denom``, a multiple of ``base.denom``, and ``rnums``,
+    the roofs over ``rden``.  The public
     ``Fraction``s are built on first read, then cached; equality, hashing
     and the repr read them.
     """
@@ -116,6 +118,11 @@ class SuspensionFlow:
                 raise ValueError("partition must increase from 0 to the base length")
             if not set(cuts).issuperset(c * lift for c in base.cuts):
                 raise ValueError("partition must refine the base breakpoints")
+            # a cell lies in one base piece: the piece of its left cut's floor on the base lattice
+            pieces = (bisect.bisect_right(base.cuts, c // lift) - 1 for c in cuts[:-1])
+            shifts = [base.shifts[i] * lift for i in pieces]
+        else:
+            shifts = base.shifts if lift == 1 else [t * lift for t in base.shifts]
         sing = tuple(sorted(_numerators(sing, denom)))
         if sing and (sing[0] < 0 or sing[-1] >= cuts[-1]):
             raise ValueError("singular points must lie in [0, base)")
@@ -126,11 +133,12 @@ class SuspensionFlow:
         if K < 0:
             raise ValueError("K must be >= 0")
         rden = math.lcm(*(r.denominator for r in roof))
-        self._set(base, K, denom, cuts, sing, rden, _numerators(roof, rden))
+        self._set(base, K, denom, cuts, tuple(shifts), sing, rden, _numerators(roof, rden))
 
     def _set(self, *lattice) -> SuspensionFlow:
         # unchecked: ``__init__`` and ``induced_suspension`` pass checked lattices
-        for name, value in zip(("base", "K", "denom", "cuts", "sing", "rden", "rnums"), lattice):
+        names = ("base", "K", "denom", "cuts", "shifts", "sing", "rden", "rnums")
+        for name, value in zip(names, lattice):
             object.__setattr__(self, name, value)
         return self
 
@@ -285,9 +293,7 @@ def twisted_return(family: TwistFamily, t: float, x: float) -> tuple[float, floa
         time = r1
     else:
         cell = bisect.bisect_right(flow.cuts, x, key=lambda c: c / flow.denom) - 1
-        base = flow.base
-        piece = bisect.bisect_right(base.cuts, x, key=lambda c: c / base.denom) - 1
-        position = x + base.shifts[piece] / base.denom
+        position = x + flow.shifts[cell] / flow.denom
         time = flow.rnums[cell] / flow.rden
 
     if _near_singular(position, flow):
@@ -391,25 +397,17 @@ def induced_suspension(flow: SuspensionFlow, b: RationalLike) -> SuspensionFlow:
 
     The roof over a point is the total flight time of its return orbit; a
     point is singular for the induced flow when its orbit meets a singular
-    point of the parent before returning.  One ``first_returns`` run over
-    the flow's partition, weighted by the roofs on integer numerators,
+    point of the parent before returning.  One ``induced_lattice`` over the
+    flow's cells and shifts, weighted by the roofs on integer numerators,
     gives both: its pieces split wherever an orbit crosses a cut of the
-    partition, so each cell of the output partition has one roof.
+    partition, so each cell of the output partition has one roof, and
+    their offsets are the new cells' shifts.
     """
-    base = flow.base
     # the flow's lattice is lifted only when b's denominator does not divide it
-    denom, lift, top = base_lattice(flow.denom, flow.cuts[-1], b)
-    step = denom // base.denom
-    cuts, sing = flow.cuts, flow.sing
-    if lift != 1:
-        cuts, sing = [c * lift for c in cuts], [q * lift for q in sing]
-    # a cell lies in one base piece: the piece of its left cut's floor on the base lattice
-    shifts = [base.shifts[bisect.bisect_right(base.cuts, c // step) - 1] * step for c in cuts[:-1]]
-    budget = default_return_budget(base.m, cuts[-1], top)
-    pieces, pulled = first_returns(cuts, shifts, flow.rnums, sing, top, budget, denom)
-    starts, _, offsets, _, weights = zip(*pieces)
-    ends = starts + (top,)
-    lattice = (denom, ends, tuple(sorted(pulled)), flow.rden, weights)
+    denom, ends, offsets, roofs, pulled = induced_lattice(
+        flow.denom, flow.cuts, flow.shifts, flow.rnums, flow.sing, b, flow.base.m
+    )
+    lattice = (denom, ends, offsets, tuple(sorted(pulled)), flow.rden, roofs)
     return object.__new__(SuspensionFlow)._set(Iet.from_lattice(denom, ends, offsets), flow.K, *lattice)
 
 

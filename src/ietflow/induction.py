@@ -17,19 +17,17 @@ Two independent routes to the same renormalization are kept side by side:
 
 The propagation itself is ``first_returns``, on integer numerators: it
 pushes [0, b) forward over a partition into cells until every piece
-re-enters, summing an integer weight per cell along each orbit.
-``induce`` and the untimed walk give it zero weights; the first-return
-suspension and the timed walk weigh roofs and return times with it.
+re-enters, summing an integer weight per cell along each orbit, and
+returns the next lattice.  ``induced_lattice`` sets it up on the lattice
+of ``base_lattice`` with the budget ``default_return_budget``: ``induce``
+(weights of ones, so return times) and ``closing.induced_suspension``
+(roofs) are one call of it each.  The probe walk is also the closing walk
+(``closing._return_maps`` walks it timed); timed or not, a run ends in
+one ``first_returns`` on the walk's lattice, so the walk calls no
+``induce``; ``probe_prefix`` does, once per probe that stops in a run.
 
 ``check_induction_consistency`` cross-validates the two routes: the n-th
 walk state must equal the n-step Rauzy state, exactly, as canonical maps.
-
-``induce`` takes its lattice, range check and default step budget from
-``base_lattice`` and ``default_return_budget``.  The probe walk is also
-the closing walk (``closing._return_maps`` walks it timed); timed or not,
-a run ends in one ``first_returns`` on the walk's lattice, so the walk
-calls no ``induce``; ``probe_prefix`` does, once per probe that stops
-in a run.
 """
 
 from __future__ import annotations
@@ -61,11 +59,11 @@ class Record:
     _uncompared: tuple = ()
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if kwargs or len(args) != len(names):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
             args = self._bind(args, kwargs)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
@@ -81,6 +79,8 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        # each field's slot setter, which bypasses the refusing ``__setattr__``
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         # the compared fields' getter, built once per class: ``attrgetter``
         # of two or more names gives their tuple in C, of one its bare value
         names = [name for name in cls.__slots__ if name not in cls._uncompared]
@@ -129,15 +129,6 @@ class InducedResult(Record):
 
     __slots__ = ("induced", "return_times", "ends", "parent_top")
 
-    def __init__(
-        self, induced: Iet, return_times: tuple[int, ...], ends: tuple[int, ...], parent_top: int
-    ):
-        # one per ``induce`` call: written through the slots' own setters
-        _set_induced(self, induced)
-        _set_return_times(self, return_times)
-        _set_ends(self, ends)
-        _set_parent_top(self, parent_top)
-
     @property
     def parent_base(self) -> Fraction:
         return Fraction(self.parent_top, self.induced.denom)
@@ -166,11 +157,6 @@ class InducedResult(Record):
         return self._kac_numerator() == self.parent_top
 
 
-_set_induced, _set_return_times, _set_ends, _set_parent_top = (
-    getattr(InducedResult, name).__set__ for name in InducedResult.__slots__
-)
-
-
 def default_return_budget(m: int, parent_top: int, top: int) -> int:
     """Step budget heuristic 10 * (m + floor(base/b) + 1) for an m-interval
     parent, its base and b > 0 being ``parent_top`` and ``top`` on one lattice."""
@@ -194,15 +180,17 @@ def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, de
     """First returns to [0, top) of the map moving each cell [cuts[i],
     cuts[i + 1]) by shifts[i], on integer numerators.
 
-    Returns the pieces (lo, hi, offset, steps, weight), sorted and tiling
-    [0, top), where ``weight`` sums weights[i] over the cells an orbit
-    crosses before it returns, and the points of [0, top) whose orbit
-    meets one of the sorted ``singulars`` on the way, the start included.
-    Raises ReturnTimeExceeded(max_steps, top / denom) past ``max_steps``
+    Returns the next lattice (ends, offsets, weights, pulled): the ends of
+    the return pieces from 0 to ``top``, their offsets, their sums of
+    weights[i] over the cells their orbits cross before returning, and the
+    points of [0, top) whose orbit meets one of the sorted ``singulars`` on
+    the way, the start included.  A piece is cut where it crosses a cut or
+    re-enters, so the pieces tile [0, top); ``Iet.from_lattice`` checks
+    that their images do.  Raises ReturnTimeExceeded(max_steps, top / denom) past ``max_steps``
     steps; ``denom``, the lattice's denominator, is read only to name the
     scale in an error.
     """
-    done: list[tuple[int, int, int, int, int]] = []
+    done: list[tuple[int, int, int]] = []
     pulled: set[int] = set()
     work = deque([(0, top, 0, 0, 0)])
     # bound once: the loop below runs once per cell an orbit piece crosses
@@ -225,67 +213,70 @@ def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, de
             tau = shifts[piece]
             noff = off + tau
             nweight = weight + weights[piece]
-            olo, ohi = u - off, v - off
             if v + tau <= top:
-                finish((olo, ohi, noff, steps, nweight))
+                finish((u - off, noff, nweight))
             elif u + tau >= top:
-                pending((olo, ohi, noff, steps, nweight))
+                pending((u - off, v - off, noff, steps, nweight))
             else:
                 mid = top - noff
-                finish((olo, mid, noff, steps, nweight))
-                pending((mid, ohi, noff, steps, nweight))
+                finish((u - off, noff, nweight))
+                pending((mid, v - off, noff, steps, nweight))
             u = v
             piece += 1
 
-    done.sort()
-    # pieces must tile [0, top) exactly
-    cursor = 0
-    for lo, hi, _, _, _ in done:
-        if lo != cursor:
-            raise NotInduced(f"gap at {Fraction(cursor, denom)} while assembling the return map")
-        cursor = hi
-    if cursor != top:
-        stop, scale = Fraction(cursor, denom), Fraction(top, denom)
-        raise NotInduced(f"return pieces stop at {stop}, expected {scale}")
-    return done, pulled
+    done.sort()  # by start: the starts are distinct
+    starts, offsets, totals = zip(*done)
+    return (*starts, top), offsets, totals, pulled
+
+
+def induced_lattice(denom0: int, cuts, shifts, weights, singulars, b, m: int, max_steps=None):
+    """``first_returns`` to [0, b) of cells, shifts, weights and sorted
+    singular points over ``denom0``, lifted onto the lattice that
+    ``base_lattice`` sets up and checks b on, within ``max_steps``, by
+    default ``default_return_budget`` of an m-interval parent.  Returns the
+    lattice's denominator, then the kernel's next lattice."""
+    denom, lift, top = base_lattice(denom0, cuts[-1], b)
+    if lift != 1:
+        cuts, shifts = [c * lift for c in cuts], [t * lift for t in shifts]
+        singulars = [q * lift for q in singulars]
+    if max_steps is None:
+        max_steps = default_return_budget(m, cuts[-1], top)
+    if max_steps <= 0:
+        raise ValueError("max_steps must be positive")
+    return denom, *first_returns(cuts, shifts, weights, singulars, top, max_steps, denom)
 
 
 def induce(parent: Iet, b: RationalLike, max_steps: int | None = None) -> InducedResult:
     """First-return map of ``parent`` to [0, b) by exact interval propagation.
 
-    Runs ``first_returns`` over the parent's breakpoints, then merges
-    neighbouring pieces that agree on translation and return time.
-    Raises ReturnTimeExceeded when a piece fails to return within
-    ``max_steps``, by default ``default_return_budget``: a guess that
-    ordinary exchanges and bases exceed, where a larger budget succeeds.
+    One ``induced_lattice`` over the parent's intervals, each weighing one
+    step, so a piece's weight is its return time; neighbouring pieces that
+    agree on translation and return time then merge.  Raises
+    ReturnTimeExceeded when a piece fails to return within ``max_steps``,
+    by default ``default_return_budget``: a guess that ordinary exchanges
+    and bases exceed, where a larger budget succeeds.
     """
     # every cut, offset and piece end below is an integer multiple of
     # 1/denom; a walk step's b sits on the parent's lattice, read as it is
-    denom, lift, top = base_lattice(parent.denom, parent.cuts[-1], b)
-    cuts, shifts = parent.cuts, parent.shifts
-    if lift != 1:
-        cuts, shifts = [c * lift for c in cuts], [t * lift for t in shifts]
-    if max_steps is None:
-        max_steps = default_return_budget(parent.m, cuts[-1], top)
-    if max_steps <= 0:
-        raise ValueError("max_steps must be positive")
-    pieces, _ = first_returns(cuts, shifts, [0] * parent.m, [], top, max_steps, denom)
+    denom, cuts, offsets, times, _ = induced_lattice(
+        parent.denom, parent.cuts, parent.shifts, [1] * parent.m, (), b, parent.m, max_steps
+    )
 
     # return-time partition: merge neighbours agreeing on translation and
     # time; the canonical map merges on translation alone, so an induction
     # cut that leaves neighbours continuous as a map yet with distinct
     # return times makes the pieces genuinely refine the canonical intervals
-    ends, offsets, times = [0], [], []
-    for _, hi, off, steps, _ in pieces:
-        if times and offsets[-1] == off and times[-1] == steps:
+    ends, shifts, steps = [0], [], []
+    for hi, off, k in zip(cuts[1:], offsets, times):
+        if steps and shifts[-1] == off and steps[-1] == k:
             ends[-1] = hi
         else:
             ends.append(hi)
-            offsets.append(off)
-            times.append(steps)
+            shifts.append(off)
+            steps.append(k)
 
-    induced = Iet.from_lattice(denom, ends, offsets)
-    return InducedResult(induced, tuple(times), tuple(ends), cuts[-1])
+    induced = Iet.from_lattice(denom, ends, shifts)
+    return InducedResult(induced, tuple(steps), tuple(ends), parent.cuts[-1] * (denom // parent.denom))
 
 
 # -- Rauzy-Veech induction ---------------------------------------------------
@@ -415,10 +406,10 @@ def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool
     the count change.  A run ends before a move of the other type, a tie or
     a move that makes equal-shift neighbours merge; the state there is one
     ``first_returns`` over the anchor's cells with the budget moves + 1 (a
-    move adds at most one step to a return), whose pieces are the next
-    anchor's, and its count and longest return must equal the run's.
+    move adds at most one step to a return), whose next lattice is the
+    next anchor's, and its count and longest return must equal the run's.
     Untimed, the cells are the anchor's intervals with zero weights; timed,
-    they carry return times and the pieces become the next cells.  A run
+    they carry return times and the next lattice becomes the cells.  A run
     starts only where the cells are the anchor's intervals.  A tie (L_last
     == L_beta, beta the image-last interval), a merge, a reducible anchor
     or cells that refine its intervals take the same first return, within
@@ -483,9 +474,7 @@ def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool
         steps = moves + 1 if moves else 2  # a chained step returns within two
         # untimed, the cells are the anchor's intervals, weighing nothing
         walked = cells or (cuts, anchor.shifts, [0] * m)
-        pieces, _ = first_returns(*walked, [], top, steps, denom)
-        starts, _, offsets, _, totals = zip(*pieces)
-        ends = starts + (top,)
+        ends, offsets, totals, _ = first_returns(*walked, (), top, steps, denom)
         anchor = Iet.from_lattice(denom, ends, offsets)
         found = edge_count(anchor.cuts, anchor.shifts)
         most = None

@@ -620,9 +620,7 @@ def chained_return_walk(base):
     state, cuts, shifts, times = base, base.cuts, base.shifts, (1,) * base.m
     while state.m > 1:
         top, _ = next_base(state)
-        pieces, _ = first_returns(cuts, shifts, times, [], top, 2, base.denom)
-        cuts, _, shifts, _, times = zip(*pieces)
-        cuts += (top,)
+        cuts, shifts, times, _ = first_returns(cuts, shifts, times, [], top, 2, base.denom)
         state = Iet.from_lattice(base.denom, cuts, shifts)
         yield top, state, max(times)
 
@@ -742,16 +740,38 @@ class TestWeightedWalk:
         weighted = induction.first_returns
 
         def longer(cuts, shifts, weights, singulars, top, max_steps, denom):
-            pieces, pulled = weighted(cuts, shifts, weights, singulars, top, max_steps, denom)
+            ends, offsets, totals, pulled = weighted(cuts, shifts, weights, singulars, top, max_steps, denom)
             if max_steps > 2:  # a run end
-                *rest, (lo, hi, off, steps, weight) = pieces
-                pieces = rest + [(lo, hi, off, steps, weight + 1)]
-            return pieces, pulled
+                totals = (*totals[:-1], totals[-1] + 1)
+            return ends, offsets, totals, pulled
 
         monkeypatch.setattr(induction, "first_returns", longer)
         with pytest.raises(NotInduced) as info:
             list(probe_counts(rotation(F(1, 1000)), timed=True))
         assert str(info.value) == "a run to 1/500 returns within 999, its first return within 1000"
+
+    def test_a_moved_offset_is_refused_by_the_exchange_core(self, monkeypatch):
+        # the kernel's pieces tile [0, top) by construction; that their
+        # images tile it too is checked by ``Iet.from_lattice`` in every
+        # caller, here with one offset moved by one lattice step
+        kernel = induction.first_returns
+
+        def moved(*args):
+            ends, offsets, weights, pulled = kernel(*args)
+            return ends, (offsets[0] + 1, *offsets[1:]), weights, pulled
+
+        monkeypatch.setattr(induction, "first_returns", moved)
+        iet = make_iet([F(3, 10), F(1, 2), F(1, 5)], [3, 2, 1])
+        flow = SuspensionFlow(iet, (F(1), F(2), F(3)), (F(3, 5),))
+        for call in (
+            lambda: induce(iet, F(2, 5)),
+            lambda: induced_suspension(flow, F(2, 5)),
+            lambda: list(probe_counts(iet)),
+            lambda: list(probe_counts(iet, timed=True)),
+        ):
+            with pytest.raises(NotInduced, match="^images (overlap|leave a gap) at ") as info:
+                call()
+            assert [entry.name for entry in info.traceback[-2:]] == ["from_lattice", "_set_lattice"]
 
 
 def flight_oracle(flow, b, x, max_flights=10_000):
@@ -878,6 +898,26 @@ class TestLatticeFlows:
         flow = tenth_flow([F(3, 5)])
         assert induced_suspension(flow, F(1, 2)) != induced_suspension(flow, F(2, 5))
         assert flow != tenth_flow() and flow != SuspensionFlow(flow.base, (F(1), F(2)), (F(3, 5),))
+
+    def test_cells_carry_their_base_translations(self):
+        # a cell's shift is the base's translation at its left cut, on the
+        # flow's lattice, with the base's cells, a refining partition's or a
+        # first return's
+        rng = random.Random(37)
+        checked = 0
+        for flow, b, induced in self.induced_flows(37, 60):
+            base = flow.base
+            extra = {base.base_length * F(rng.randint(1, 96), 97) for _ in range(3)}
+            part = sorted(set(base.breakpoints) | extra)
+            roof = tuple(F(rng.randint(1, 5)) for _ in part[1:])
+            refined = SuspensionFlow(base, roof, flow.singular_points, flow.K, part)
+            assert len(refined.cuts) > len(flow.cuts)
+            for cells in (flow, refined, induced, induced_suspension(refined, b)):
+                at = cells.base.translations
+                shifts = [at[cells.base.piece_index(c)] * cells.denom for c in cells.partition[:-1]]
+                assert list(cells.shifts) == shifts
+                checked += 1
+        assert checked > 200
 
 
 def pick_oracle(flow, blocked):

@@ -361,16 +361,21 @@ class TestFirstReturns:
             weights = [rng.randint(0, 9) for _ in shifts]
             sing_ints = sorted(rng.sample(range(int(length)), rng.randint(0, 3)))
             b = F(top, denom)
-            pieces, pulled = first_returns(ints, shifts, weights, sing_ints, top, 10**4, denom)
+            ends, offsets, totals, pulled = first_returns(ints, shifts, weights, sing_ints, top, 10**4, denom)
+            # weights of ones count the steps, over the same pieces
+            ones = [1] * len(shifts)
+            *same, steps, counted = first_returns(ints, shifts, ones, sing_ints, top, 10**4, denom)
+            assert (*same, counted) == (ends, offsets, pulled)
 
             singulars = [F(q, denom) for q in sing_ints]
-            assert pieces[0][0] == 0 and pieces[-1][1] == top
+            assert ends[0] == 0 and ends[-1] == top
+            assert len(ends) == len(offsets) + 1 == len(totals) + 1 == len(steps) + 1
             met_all = set()
-            for (lo, hi, off, steps, weight), nxt in zip(pieces, pieces[1:] + [None]):
-                assert nxt is None or nxt[0] == hi
+            for lo, hi, off, k, weight in zip(ends, ends[1:], offsets, steps, totals):
+                assert lo < hi
                 piece = F(lo, denom), F(hi, denom)
-                image, k, w, met = follow_cells(iet, cuts, weights, singulars, b, *piece)
-                assert (F(lo + off, denom), steps, weight) == (image, k, w)
+                image, followed, w, met = follow_cells(iet, cuts, weights, singulars, b, *piece)
+                assert (F(lo + off, denom), k, weight) == (image, followed, w)
                 met_all |= met
                 checked_weights += w > 0
             assert {F(q, denom) for q in pulled} == met_all
@@ -382,8 +387,7 @@ class TestFirstReturns:
         with pytest.raises(ReturnTimeExceeded) as info:
             first_returns([0, 9, 10], [1, -9], [0, 0], [], 1, 9, 10)
         assert (info.value.max_steps, info.value.scale) == (9, F(1, 10))
-        pieces, _ = first_returns([0, 9, 10], [1, -9], [1, 1], [], 1, 10, 10)
-        assert pieces == [(0, 1, 0, 10, 10)]
+        assert first_returns([0, 9, 10], [1, -9], [1, 1], [], 1, 10, 10) == ((0, 1), (0,), (10,), set())
 
 
 def euclid_oracle(a, b):

@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
 import sys
 from fractions import Fraction as F
 
@@ -56,6 +58,26 @@ def test_star_import_binds_every_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ietflow.no_such_name  # noqa: B018
+
+
+def test_a_submodule_is_imported_on_first_read():
+    # in a fresh interpreter no layer is loaded until its name is read
+    code = (
+        "import sys, ietflow\n"
+        "assert 'ietflow.closing' not in sys.modules and 'closing' not in vars(ietflow)\n"
+        "module = ietflow.closing\n"
+        "assert module is sys.modules['ietflow.closing']\n"
+        "print(module.__name__, module.SuspensionFlow.__module__)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ietflow.__file__))),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ietflow.closing ietflow.closing\n"
 
 
 def test_a_name_rebound_in_its_home_module_is_what_the_package_gives(monkeypatch):
