@@ -59,7 +59,7 @@ from .errors import (
 from .edges import DEFAULT_WITNESS_GAP, ClosingCriterion, VirtualEdge
 from .iet import Iet, RationalLike, as_rational, lattice_cell
 # unused ``induce`` is read by test_tracer_rebinds_every_import_site_and_restores_them
-from .induction import Record, default_return_budget, induce, induced_lattice, probe_counts
+from .induction import Record, check_count, default_return_budget, induce, induced_lattice, probe_counts
 
 SINGULAR_SNAP = 1e-12
 
@@ -489,14 +489,14 @@ def close_at_point(
     scale whose count meets the edge quota and whose first-return
     suspension, built from the previous step's, has an admissible edge;
     its twist budget is proportional to the neighborhood width, so
-    successive closing parameters shrink with the neighborhoods.
+    successive closing parameters shrink with the neighborhoods.  Each
+    suspension's base is the walk's state at its scale, whose edge count
+    ``induction.check_count`` checks against the walk's.
     Raises NoEdgeInNeighborhood(n), listing the edges a singular point
     blocked, once the walk reaches a scale <= p or an identity return map,
-    below which every return map is the identity, and ReturnTimeExceeded
-    at a state whose return outgrows the budget (see ``_return_maps``).
-    Unlike the probes, it leaves the run its walk stops inside unchecked
-    (``induction.probe_prefix``'s check is untimed): each closing is
-    re-checked by its box and twist; a timed check would need the walk's cells.
+    below which every return map is the identity, ReturnTimeExceeded at a
+    state whose return outgrows the budget (see ``_return_maps``), and
+    NotInduced where a count differs.
     """
     p = as_rational(p)
     if not 0 <= p < flow.base.base_length:
@@ -514,6 +514,7 @@ def close_at_point(
                 continue
             b = Fraction(top, denom)
             flow_n = induced_suspension(flow, b)
+            check_count(top, denom, count, flow_n.base)  # its base is the walk's state at b
             box = _pick_admissible_edge(flow_n, blocked)
             if box is not None:
                 break

@@ -35,10 +35,10 @@ RationalLike = Fraction | int | str
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Convert to an exact Fraction, rejecting floats and decimal strings."""
+    """Convert to an exact Fraction, rejecting floats, bools and decimal strings."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)

@@ -10,7 +10,8 @@ Two independent routes to the same renormalization are kept side by side:
   count and longest return must match the run's; ``probe_prefix`` is
   the walk as the probes read it, cut at a depth or a failing count and
   checked where it stops, and ``probe_walk`` builds the states of its
-  scales, each from the one before, and
+  scales, each from the one before, and checks each.  ``check_count`` is
+  the one count check, made wherever a state of the walk is held; and
 * ``rauzy_step`` performs one Rauzy-Veech move on the translations,
   without any propagation: the points that leave the shortened base come
   back through the last interval, so its translation is added to theirs.
@@ -18,8 +19,8 @@ Two independent routes to the same renormalization are kept side by side:
 The propagation itself is ``first_returns``, on integer numerators: it
 pushes [0, b) forward over a partition into cells until every piece
 re-enters, summing an integer weight per cell along each orbit, and
-returns the next lattice.  ``induced_lattice`` sets it up on the lattice
-of ``base_lattice`` with the budget ``default_return_budget``: ``induce``
+returns the next lattice.  ``induced_lattice`` sets it up on a lattice
+that holds b, with the budget ``default_return_budget``: ``induce``
 (weights of ones, so return times) and ``closing.induced_suspension``
 (roofs) are one call of it each.  The probe walk is also the closing walk
 (``closing._return_maps`` walks it timed); timed or not, a run ends in
@@ -163,19 +164,6 @@ def default_return_budget(m: int, parent_top: int, top: int) -> int:
     return 10 * (m + parent_top // top + 1)
 
 
-def base_lattice(denom0: int, base_top: int, b: RationalLike) -> tuple[int, int, int]:
-    """The lattice of a first return from [0, base_top / denom0) to [0, b):
-    its denominator, lcm(denom0, b's), the factor lifting numerators over
-    denom0 onto it, and b's numerator on it, checked to lie in (0, base]."""
-    b = as_rational(b)
-    denom = math.lcm(b.denominator, denom0)
-    lift = denom // denom0
-    top = b.numerator * (denom // b.denominator)
-    if not 0 < top <= base_top * lift:
-        raise ValueError(f"induction base {b} outside (0, {Fraction(base_top, denom0)}]")
-    return denom, lift, top
-
-
 def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, denom: int):
     """First returns to [0, top) of the map moving each cell [cuts[i],
     cuts[i + 1]) by shifts[i], on integer numerators.
@@ -231,11 +219,16 @@ def first_returns(cuts, shifts, weights, singulars, top: int, max_steps: int, de
 
 def induced_lattice(denom0: int, cuts, shifts, weights, singulars, b, m: int, max_steps=None):
     """``first_returns`` to [0, b) of cells, shifts, weights and sorted
-    singular points over ``denom0``, lifted onto the lattice that
-    ``base_lattice`` sets up and checks b on, within ``max_steps``, by
-    default ``default_return_budget`` of an m-interval parent.  Returns the
-    lattice's denominator, then the kernel's next lattice."""
-    denom, lift, top = base_lattice(denom0, cuts[-1], b)
+    singular points over ``denom0``, within ``max_steps``, by default
+    ``default_return_budget`` of an m-interval parent.  The cells are
+    lifted onto the lattice lcm(denom0, b's denominator), on which b is
+    checked to lie in (0, base].  Returns the lattice's denominator, then
+    the kernel's next lattice."""
+    b = as_rational(b)
+    denom = math.lcm(b.denominator, denom0)
+    lift, top = denom // denom0, b.numerator * (denom // b.denominator)
+    if not 0 < top <= cuts[-1] * lift:
+        raise ValueError(f"induction base {b} outside (0, {Fraction(cuts[-1], denom0)}]")
     if lift != 1:
         cuts, shifts = [c * lift for c in cuts], [t * lift for t in shifts]
         singulars = [q * lift for q in singulars]
@@ -384,7 +377,12 @@ def edge_count(cuts, shifts) -> int:
     return total
 
 
-_RUN_COUNT = "a run to {} counts {} edges, its first return {}"
+def check_count(top: int, denom: int, count: int, state: Iet) -> None:
+    """Raise NotInduced unless ``state``, the walk's state at scale top /
+    denom, counts the ``count`` edges the walk carried there."""
+    found = edge_count(state.cuts, state.shifts)
+    if found != count:
+        raise NotInduced(f"a run to {Fraction(top, denom)} counts {count} edges, its first return {found}")
 
 
 def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool, Iet, int, int | None]]:
@@ -415,10 +413,8 @@ def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool
     or cells that refine its intervals take the same first return, within
     two steps, to the base of one Rauzy move, b - min(L_last, L_beta).
 
-    A run is checked when the entry after it is asked for; the probes
-    read the walk through ``probe_prefix``, which checks the run they stop
-    inside.  ``close_at_point`` does not: each closing is re-checked by its
-    box and twist, and a timed check would need the walk's cells.
+    A run is checked, by ``check_count``, when the entry after it is asked
+    for; inside a run, a consumer that holds the state checks its count.
     """
     denom, anchor, tied, moves = iet.denom, iet, False, 0
     count, longest, cells = edge_count(iet.cuts, iet.shifts), None, None
@@ -476,16 +472,15 @@ def probe_counts(iet: Iet, timed: bool = False) -> Iterator[tuple[int, int, bool
         walked = cells or (cuts, anchor.shifts, [0] * m)
         ends, offsets, totals, _ = first_returns(*walked, (), top, steps, denom)
         anchor = Iet.from_lattice(denom, ends, offsets)
-        found = edge_count(anchor.cuts, anchor.shifts)
         most = None
         if timed:
             cells, most = (ends, offsets, totals), max(totals)
         if not moves:
-            count, longest = found, most
+            count, longest = edge_count(anchor.cuts, anchor.shifts), most
             yield top, count, tied, anchor, 0, longest
-        elif found != count:
-            raise NotInduced(_RUN_COUNT.format(Fraction(top, denom), count, found))
-        elif most != longest:
+            continue
+        check_count(top, denom, count, anchor)
+        if most != longest:
             b = Fraction(top, denom)
             raise NotInduced(f"a run to {b} returns within {longest}, its first return within {most}")
 
@@ -495,9 +490,8 @@ def probe_prefix(iet: Iet, depth: int, threshold: int = 0) -> list[tuple[int, in
     after the first whose count is below ``threshold``: the walk as a probe
     reads it.  The entry it stops on is checked: inside a run (moves > 0),
     the state there is ``induce`` from the entry's anchor with the budget
-    moves + 1, and its ``edge_count`` must equal the entry's count, else
-    NotInduced names the scale; at an anchor there is nothing left to
-    check."""
+    moves + 1, and ``check_count`` compares its count with the entry's; at
+    an anchor there is nothing left to check."""
     prefix = []
     for entry in islice(probe_counts(iet), depth):
         prefix.append(entry)
@@ -505,11 +499,8 @@ def probe_prefix(iet: Iet, depth: int, threshold: int = 0) -> list[tuple[int, in
             break
     if prefix and prefix[-1][4]:
         top, count, _, anchor, moves, _ = prefix[-1]
-        b = Fraction(top, anchor.denom)
-        state = induce(anchor, b, moves + 1).induced
-        found = edge_count(state.cuts, state.shifts)
-        if found != count:
-            raise NotInduced(_RUN_COUNT.format(b, count, found))
+        state = induce(anchor, Fraction(top, anchor.denom), moves + 1).induced
+        check_count(top, anchor.denom, count, state)
     return prefix
 
 
@@ -517,12 +508,14 @@ def probe_walk(iet: Iet) -> Iterator[tuple[Iet, bool]]:
     """The states of ``probe_counts``, each with whether the walk has passed
     a tie or a reducible permutation.  A state is built when it is reached:
     within a run, as the first return from the state before it, within two
-    steps; else it is the core's anchor.  Away from ties and reducible
+    steps; else it is the core's anchor.  Each state's count is checked
+    against the walk's by ``check_count``.  Away from ties and reducible
     permutations the states are the Rauzy states, which ``rauzy_step``
     computes by an independent route (see ``check_induction_consistency``)."""
     state = iet
-    for top, _, tied, anchor, moves, _ in probe_counts(iet):
+    for top, count, tied, anchor, moves, _ in probe_counts(iet):
         state = induce(state, Fraction(top, iet.denom), 2).induced if moves else anchor
+        check_count(top, iet.denom, count, state)
         yield state, tied
 
 

@@ -548,6 +548,14 @@ def pinned_inputs(tmp_path):
             (F(2), F(1), F(3)),
             (F(1, 7),),
         ),
+        "tenth-fine.json": SuspensionFlow(rotation(F(1, 10)), (F(1), F(2)), (F(7, 80),), 1),
+        "tenth-fine-cells.json": SuspensionFlow(
+            rotation(F(1, 10)),
+            (F(1), F(1), F(2)),
+            (F(7, 80),),
+            1,
+            (F(0), F(1, 3), F(9, 10), F(1)),
+        ),
     }
     for name, flow in flows.items():
         (tmp_path / name).write_text(json.dumps(flow_to_dict(flow)))
@@ -565,7 +573,11 @@ class TestPinnedBytes:
     was re-validated; the m3 flow closes twice and then finds every edge
     at 77/1000 blocked by the pulled-back singular point 209/7000.  Its
     stderr counts the blocked candidates; ``tests/test_closing.py`` checks
-    the candidates themselves on the error.  The ``edges``, ``probe``,
+    the candidates themselves on the error.  The two finer-lattice rows
+    close the rotation by 1/10 under roofs (1, 2) with the singular point
+    7/80, once with the base's cells and once with a refining partition:
+    the flow's lattice is finer than its base's, and the boxes start a
+    witness gap past the singular point.  The ``edges``, ``probe``,
     ``measure`` (with its CSV) and ``eval`` rows pin every other command's
     report, so a change behind them must leave those bytes as they are; the
     clamped-quota ``probe`` row pins ``threshold_clamped`` and the note's
@@ -584,6 +596,21 @@ class TestPinnedBytes:
                 ["close", "--flow", "tenth.json", "--point", "1/7"],
                 0,
                 "7b9ecf9caa8e5da26b4d4bdbe1c5d4c476738243890641f96f8111515ccd08f4",
+                "",
+            ),
+            (
+                ["close", "--flow", "tenth-fine.json", "--point", "0", "--shrink-steps", "4"],
+                0,
+                "ad6bef827e48d25a2a5970782140549ee5a2383e80dd325a12013391eb4cd579",
+                "",
+            ),
+            (
+                [
+                    "close", "--flow", "tenth-fine-cells.json",
+                    "--point", "0", "--shrink-steps", "4",
+                ],
+                0,
+                "ad6bef827e48d25a2a5970782140549ee5a2383e80dd325a12013391eb4cd579",
                 "",
             ),
             (
@@ -669,6 +696,8 @@ class TestPinnedBytes:
         ids=[
             "close-tenth-at-0",
             "close-tenth-at-1_7",
+            "close-tenth-finer-lattice",
+            "close-tenth-finer-lattice-cells",
             "close-m3-blocked",
             "rauzy-m4-cross-check",
             "induce-m4-b-1",

@@ -41,7 +41,7 @@ from ietflow.induction import first_returns, induce, probe_counts, probe_walk, r
 from ietflow.induction import default_return_budget
 from ietflow.serialize import flow_from_dict, flow_to_dict
 from .test_iet_core import rotation
-from .test_induction import next_base
+from .test_induction import miscounted, next_base
 
 
 def walk_states(entries):
@@ -507,6 +507,14 @@ class TestCloseAtPoint:
             close_at_point(flow, 0, ClosingCriterion(-3, 1), 3)
         assert info.value.step == 3
         assert info.value.blocked == ((VirtualEdge(F(7, 500), F(4, 125), F(1, 20)), F(209, 7000)),)
+
+    def test_each_suspension_checks_the_walk_count(self, monkeypatch):
+        # the suspension at 9/10 has the walk's state there as its base, and
+        # that state counts 3 edges where the miscounted walk reads 4
+        monkeypatch.setattr("ietflow.closing.probe_counts", miscounted(probe_counts))
+        with pytest.raises(NotInduced) as info:
+            close_at_point(tenth_flow(), 0, ClosingCriterion(-3, 1), 3)
+        assert str(info.value) == "a run to 9/10 counts 4 edges, its first return 3"
 
     def test_induced_suspension_accumulates(self):
         flow = tenth_flow()

@@ -6,14 +6,19 @@ from fractions import Fraction as F
 import pytest
 
 from ietflow import (
+    ClosingCriterion,
     FormatError,
     Iet,
     NonPositiveLength,
     OutOfDomain,
     PermutationNotBijective,
+    SuspensionFlow,
+    close_at_point,
     identity_iet,
+    induce,
     make_iet,
     parse_rational,
+    probe_edge_criterion,
 )
 
 
@@ -239,6 +244,32 @@ def test_validation_branches(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: make_iet([True, 2], [2, 1]), True),
+        (lambda: induce(rotation(F(1, 3)), True), True),
+        (lambda: rotation(F(1, 3)).evaluate(False), False),
+        (lambda: SuspensionFlow(rotation(F(1, 10)), (True, F(1))), True),
+        (lambda: SuspensionFlow(rotation(F(1, 10)), (F(1), F(1)), (False,)), False),
+        (
+            lambda: close_at_point(
+                SuspensionFlow(rotation(F(1, 10)), (F(1), F(1))), False, ClosingCriterion(-3, 1), 1
+            ),
+            False,
+        ),
+        (lambda: probe_edge_criterion(rotation(F(1, 10)), ClosingCriterion(-3, 1), 1, [True]), True),
+    ],
+    ids=["make-iet-lengths", "induce-b", "evaluate", "flow-roof", "flow-singular-point",
+         "close-at-point-p", "probe-scales"],
+)
+def test_a_bool_is_not_an_exact_rational(call, value):
+    # bool subclasses int, but no length, point or scale is a truth value
+    with pytest.raises(FormatError) as info:
+        call()
+    assert str(info.value) == f"not an exact rational: {value}"
 
 
 @pytest.mark.parametrize(

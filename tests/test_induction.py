@@ -28,7 +28,6 @@ from ietflow import induction
 from ietflow.closing import induced_suspension
 from ietflow.edges import default_probe_scales, max_disjoint_edges, sample_uniform_iet
 from ietflow.induction import (
-    base_lattice,
     default_return_budget,
     first_returns,
     is_irreducible,
@@ -126,8 +125,9 @@ class TestInduce:
             b = parent.base_length * F(rng.randint(1, 1000), rng.randint(1000, 1100))
             foreign += parent.denom % b.denominator != 0
             expected = 10 * (parent.m + int(parent.base_length / b) + 1)
-            _, lift, top = base_lattice(parent.denom, parent.cuts[-1], b)
-            parent_top = parent.cuts[-1] * lift
+            denom = math.lcm(parent.denom, b.denominator)
+            top = b.numerator * (denom // b.denominator)
+            parent_top = parent.cuts[-1] * (denom // parent.denom)
             assert default_return_budget(parent.m, parent_top, top) == expected, (parent, b)
         assert foreign > 400
 
@@ -559,6 +559,25 @@ class TestInductionConsistency:
         assert len(check_induction_consistency(parent, 6).entries) == 6
         monkeypatch.setattr(induction, "probe_walk", lambda iet: islice(walk(iet), 1, None))
         assert not check_induction_consistency(parent, 6).all_passed
+
+    def test_a_miscounted_state_fails(self, monkeypatch):
+        # each state the cross-check builds inside the run is counted again
+        parent = make_iet([F(999, 1000), F(1, 1000)], [2, 1])
+        monkeypatch.setattr(induction, "probe_counts", miscounted(induction.probe_counts))
+        with pytest.raises(NotInduced) as info:
+            check_induction_consistency(parent, 20)
+        assert str(info.value) == "a run to 999/1000 counts 499 edges, its first return 498"
+
+
+def miscounted(walk):
+    """``walk`` (``probe_counts``) with one more edge counted at every
+    scale inside a run, past the walk's own run-end check."""
+
+    def wrong(iet, timed=False):
+        for top, count, tied, anchor, moves, longest in walk(iet, timed):
+            yield top, count + (moves > 0), tied, anchor, moves, longest
+
+    return wrong
 
 
 def next_base(state):
